@@ -1,20 +1,24 @@
-"""B-backend — compute backends: the tiled sweep kernel's speedup pin.
+"""B-backend — the ring-mask sweep kernel's speedup pin.
 
-The pluggable-backend claim (ROADMAP item 3) is that the ``tiled``
-backend's ring-mask reformulation of the response-sweep kernel beats the
-default einsum at fleet-scale shapes while staying bit-identical.  Both
-backends run the exact kernel the batch engine dispatches
-(:meth:`Backend.sweep_pair_delay_sums`) on the same operating-point
-tensor; the speedup and both wall times land in
-``results/BENCH_backend.json`` for the CI regression gate
-(``ropuf bench compare --metric speedup``).
+The production sweep (:meth:`repro.backends.NumpyBackend
+.sweep_pair_delay_sums`) scatters the selection masks into one
+``(ring, stage)`` matrix and sums every ring in a single copy-free
+``einsum``; its fallback for shared rings,
+:func:`repro.backends.gather_sweep_delay_sums`, first gathers an
+``(op, pair, stage)`` copy per side.  Both run on the same fleet-scale
+operating-point tensor and must agree bit for bit; the speedup and both
+wall times land in ``results/BENCH_backend.json`` for the CI regression
+gate (``ropuf bench compare --metric speedup``).  The JSON keys keep
+their historical names so the committed baseline gates unchanged:
+``numpy_seconds`` is the gather form, ``tiled_seconds`` the ring-mask
+form.
 """
 
 import time
 
 import numpy as np
 
-from repro.backends import resolve_backend
+from repro.backends import current_backend, gather_sweep_delay_sums
 
 # Fleet-scale sweep: every ring of a large board measured at 24 operating
 # points, selections of 4096 pairs over 5-stage configurable ROs.
@@ -25,8 +29,8 @@ RINGS = 8192
 
 REPEATS = 20
 
-#: The tiled ring-mask sweep must beat the einsum by at least this factor
-#: at the shape above (observed ~1.8x on the reference runner).
+#: The ring-mask sweep must beat the gather form by at least this factor
+#: at the shape above.
 REQUIRED_SPEEDUP = 1.5
 
 
@@ -41,29 +45,26 @@ def _sweep_problem():
     return stacked, top_rings, bottom_rings, top_masks, bottom_masks
 
 
-def _median_seconds(backend, problem) -> float:
+def _median_seconds(kernel, problem) -> float:
     times = []
     for _ in range(REPEATS):
         start = time.perf_counter()
-        backend.sweep_pair_delay_sums(*problem)
+        kernel(*problem)
         times.append(time.perf_counter() - start)
     return float(np.median(times))
 
 
 def test_bench_backend_sweep(save_artifact, save_bench_json):
     problem = _sweep_problem()
-    numpy_backend = resolve_backend("numpy")
-    tiled_backend = resolve_backend("tiled")
+    sweep = current_backend().sweep_pair_delay_sums
 
-    # The contract first: same kernel, same bits.
-    numpy_out = numpy_backend.sweep_pair_delay_sums(*problem)
-    tiled_out = tiled_backend.sweep_pair_delay_sums(*problem)
-    for got, want in zip(tiled_out, numpy_out):
+    # The contract first: same sums, same bits.
+    for got, want in zip(sweep(*problem), gather_sweep_delay_sums(*problem)):
         assert np.array_equal(got, want)
 
-    numpy_seconds = _median_seconds(numpy_backend, problem)
-    tiled_seconds = _median_seconds(tiled_backend, problem)
-    speedup = numpy_seconds / tiled_seconds
+    gather_seconds = _median_seconds(gather_sweep_delay_sums, problem)
+    ring_mask_seconds = _median_seconds(sweep, problem)
+    speedup = gather_seconds / ring_mask_seconds
 
     save_bench_json(
         "backend",
@@ -75,8 +76,8 @@ def test_bench_backend_sweep(save_artifact, save_bench_json):
                     "stages": STAGES,
                     "rings": RINGS,
                 },
-                "numpy_seconds": numpy_seconds,
-                "tiled_seconds": tiled_seconds,
+                "numpy_seconds": gather_seconds,
+                "tiled_seconds": ring_mask_seconds,
                 "tiled_speedup": speedup,
                 "required_speedup": REQUIRED_SPEEDUP,
             },
@@ -88,8 +89,8 @@ def test_bench_backend_sweep(save_artifact, save_bench_json):
             [
                 f"sweep kernel: {OPS} ops x {PAIRS} pairs x {STAGES} stages "
                 f"over {RINGS} rings (median of {REPEATS})",
-                f"  numpy (einsum)     {numpy_seconds * 1e3:8.3f} ms",
-                f"  tiled (ring-mask)  {tiled_seconds * 1e3:8.3f} ms",
+                f"  gather (fallback)  {gather_seconds * 1e3:8.3f} ms",
+                f"  ring-mask          {ring_mask_seconds * 1e3:8.3f} ms",
                 f"  speedup            x{speedup:.2f} "
                 f"(required x{REQUIRED_SPEEDUP:.1f})",
             ]
@@ -97,6 +98,6 @@ def test_bench_backend_sweep(save_artifact, save_bench_json):
     )
 
     assert speedup >= REQUIRED_SPEEDUP, (
-        f"tiled sweep only x{speedup:.2f} over numpy "
+        f"ring-mask sweep only x{speedup:.2f} over the gather form "
         f"(required x{REQUIRED_SPEEDUP:.1f})"
     )

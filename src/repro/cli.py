@@ -73,7 +73,6 @@ the sampling profiler for the server's lifetime
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 __all__ = ["main", "build_parser"]
@@ -81,12 +80,11 @@ __all__ = ["main", "build_parser"]
 
 def _load_dataset(args):
     """The dataset an experiment should run on: real files or synthetic."""
-    data_dir = getattr(args, "data", None)
-    if data_dir is None:
+    if args.data is None:
         return None  # experiments fall back to the cached synthetic dataset
     from .datasets.vtlike import load_vt_directory
 
-    return load_vt_directory(data_dir)
+    return load_vt_directory(args.data)
 
 
 def _cmd_table1(args) -> str:
@@ -210,7 +208,7 @@ def _cmd_report(args) -> str:
     from .analysis.report import build_report
 
     report = build_report()
-    output = getattr(args, "output", None) or "reproduction_report.md"
+    output = args.output or "reproduction_report.md"
     path = report.save(output)
     verdict = "ALL CLAIMS HOLD" if report.all_claims_hold else "SOME CLAIMS FAIL"
     failing = [c.claim for c in report.claims if not c.holds]
@@ -226,7 +224,7 @@ def _cmd_all(args) -> str:
     from .pipeline import RetryPolicy, run_pipeline
 
     tasks = None
-    if getattr(args, "tasks", None):
+    if args.tasks:
         tasks = [name.strip() for name in args.tasks.split(",") if name.strip()]
     policy = RetryPolicy(
         max_attempts=args.retries,
@@ -246,11 +244,10 @@ def _cmd_all(args) -> str:
         chaos=args.chaos,
     )
     text = json.dumps(summary, indent=2)
-    output = getattr(args, "output", None)
-    if output:
+    if args.output:
         from pathlib import Path
 
-        Path(output).write_text(text)
+        Path(args.output).write_text(text)
     return text
 
 
@@ -612,25 +609,26 @@ def _cmd_top(args) -> tuple[str, int]:
         return f"ropuf top: {exc}", 1
 
 
+#: Experiment verbs: handler and the flag groups (``_experiment_flag_groups``)
+#: it reads.
 _COMMANDS = {
-    "table1": _cmd_table1,
-    "table2": _cmd_table2,
-    "fig3": _cmd_fig3,
-    "table3": _cmd_table3,
-    "table4": _cmd_table4,
-    "fig4": _cmd_fig4,
-    "temperature": _cmd_temperature,
-    "table5": _cmd_table5,
-    "threshold": _cmd_threshold,
-    "ablations": _cmd_ablations,
-    "extensions": _cmd_extensions,
-    "report": _cmd_report,
-    "all": _cmd_all,
+    "table1": (_cmd_table1, ("raw", "data")),
+    "table2": (_cmd_table2, ("raw", "data")),
+    "fig3": (_cmd_fig3, ("raw", "data")),
+    "table3": (_cmd_table3, ("data",)),
+    "table4": (_cmd_table4, ("data",)),
+    "fig4": (_cmd_fig4, ("method", "data")),
+    "temperature": (_cmd_temperature, ("method", "data")),
+    "table5": (_cmd_table5, ()),
+    "threshold": (_cmd_threshold, ()),
+    "ablations": (_cmd_ablations, ()),
+    "extensions": (_cmd_extensions, ("data",)),
+    "report": (_cmd_report, ("output",)),
+    "all": (_cmd_all, ("data", "output", "pipeline")),
 }
 
-#: Tooling verbs with their own positional arguments; they skip the shared
-#: experiment flags that ``build_parser`` attaches to every ``_COMMANDS``
-#: entry.  Handlers may return ``(text, exit_code)`` instead of plain text.
+#: Tooling verbs with their own arguments.  Handlers may return
+#: ``(text, exit_code)`` instead of plain text.
 _TOOL_COMMANDS = {
     "trace": _cmd_trace,
     "bench": _cmd_bench,
@@ -638,6 +636,108 @@ _TOOL_COMMANDS = {
     "fleet": _cmd_fleet,
     "top": _cmd_top,
 }
+
+
+def _experiment_flag_groups() -> dict[str, argparse.ArgumentParser]:
+    """Parent parsers for the experiment verbs' flags, by group name.
+
+    Each verb attaches only the groups its handler reads (``_COMMANDS``).
+    """
+    groups = {
+        name: argparse.ArgumentParser(add_help=False)
+        for name in ("raw", "method", "data", "output", "pipeline")
+    }
+    groups["raw"].add_argument(
+        "--raw",
+        action="store_true",
+        help="skip the systematic-variation distiller",
+    )
+    groups["method"].add_argument(
+        "--method",
+        choices=("case1", "case2"),
+        default="case1",
+        help="configurable selection method (reliability sweeps)",
+    )
+    groups["data"].add_argument(
+        "--data",
+        default=None,
+        help="directory of real measurement files (default: synthetic)",
+    )
+    groups["output"].add_argument(
+        "--output",
+        default=None,
+        help="output path (the report, or a copy of the summary JSON)",
+    )
+    pipeline = groups["pipeline"]
+    pipeline.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="parallel worker processes for the pipeline",
+    )
+    pipeline.add_argument(
+        "--cache-dir",
+        default=None,
+        help="directory of the on-disk result cache",
+    )
+    pipeline.add_argument(
+        "--timings",
+        action="store_true",
+        help="embed per-task timing/cache metrics in the summary JSON",
+    )
+    pipeline.add_argument(
+        "--tasks",
+        default=None,
+        help="comma-separated pipeline task subset",
+    )
+    pipeline.add_argument(
+        "--trace",
+        default=None,
+        metavar="PATH",
+        help="write the merged span trace as JSONL",
+    )
+    pipeline.add_argument(
+        "--profile",
+        default=None,
+        metavar="PATH",
+        help="write a sampling-profiler collapsed-stack profile of the run",
+    )
+    pipeline.add_argument(
+        "--retries",
+        type=int,
+        default=2,
+        metavar="N",
+        help="total attempts per task before degrading it (default: 2)",
+    )
+    pipeline.add_argument(
+        "--backoff",
+        type=float,
+        default=0.0,
+        metavar="SECONDS",
+        help="exponential backoff base between attempts (default: 0)",
+    )
+    pipeline.add_argument(
+        "--task-timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="per-task wall-clock timeout; kills and re-dispatches "
+        "(needs --jobs >= 2)",
+    )
+    pipeline.add_argument(
+        "--resume",
+        default=None,
+        metavar="PATH",
+        help="crash-safe checkpoint journal to replay and append",
+    )
+    pipeline.add_argument(
+        "--chaos",
+        type=int,
+        default=None,
+        metavar="SEED",
+        help="inject seeded worker-crash/hang/cache-corruption chaos",
+    )
+    return groups
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -650,106 +750,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sub = subparsers.add_parser(name, help=f"run the {name} experiment")
-        sub.add_argument(
-            "--raw",
-            action="store_true",
-            help="skip the systematic-variation distiller",
-        )
-        sub.add_argument(
-            "--data",
-            default=None,
-            help="directory of real measurement files (default: synthetic)",
-        )
-        sub.add_argument(
-            "--output",
-            default=None,
-            help="output path (report command)",
-        )
-        sub.add_argument(
-            "--method",
-            choices=("case1", "case2"),
-            default="case1",
-            help="configurable selection method (reliability sweeps)",
-        )
-        sub.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            help="parallel worker processes for the pipeline (all command)",
-        )
-        sub.add_argument(
-            "--cache-dir",
-            default=None,
-            help="directory of the on-disk result cache (all command)",
-        )
-        sub.add_argument(
-            "--timings",
-            action="store_true",
-            help="embed per-task timing/cache metrics in the summary JSON",
-        )
-        sub.add_argument(
-            "--tasks",
-            default=None,
-            help="comma-separated pipeline task subset (all command)",
-        )
-        sub.add_argument(
-            "--trace",
-            default=None,
-            metavar="PATH",
-            help="write the merged span trace as JSONL (all command)",
-        )
-        sub.add_argument(
-            "--profile",
-            default=None,
-            metavar="PATH",
-            help="write a sampling-profiler collapsed-stack profile of "
-            "the run (all command)",
-        )
-        sub.add_argument(
-            "--retries",
-            type=int,
-            default=2,
-            metavar="N",
-            help="total attempts per task before degrading it (default: 2)",
-        )
-        sub.add_argument(
-            "--backoff",
-            type=float,
-            default=0.0,
-            metavar="SECONDS",
-            help="exponential backoff base between attempts (default: 0)",
-        )
-        sub.add_argument(
-            "--task-timeout",
-            type=float,
-            default=None,
-            metavar="SECONDS",
-            help="per-task wall-clock timeout; kills and re-dispatches "
-            "(needs --jobs >= 2)",
-        )
-        sub.add_argument(
-            "--resume",
-            default=None,
-            metavar="PATH",
-            help="crash-safe checkpoint journal to replay and append "
-            "(all command)",
-        )
-        sub.add_argument(
-            "--chaos",
-            type=int,
-            default=None,
-            metavar="SEED",
-            help="inject seeded worker-crash/hang/cache-corruption chaos "
-            "(all command)",
-        )
-        sub.add_argument(
-            "--backend",
-            default=None,
-            metavar="NAME",
-            help="compute backend for the dense kernels (numpy, "
-            "numpy-float32, tiled; see docs/backends.md)",
+    flag_groups = _experiment_flag_groups()
+    for name, (_, groups) in _COMMANDS.items():
+        subparsers.add_parser(
+            name,
+            help=f"run the {name} experiment",
+            parents=[flag_groups[group] for group in groups],
         )
 
     trace = subparsers.add_parser(
@@ -932,12 +938,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the --bench summary JSON to this path",
     )
     serve.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="compute backend for coalesced dispatch (docs/backends.md)",
-    )
-    serve.add_argument(
         "--metrics-port",
         type=int,
         default=None,
@@ -1084,12 +1084,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the summary JSON to this path",
     )
     fleet.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="compute backend for the shard statistics (docs/backends.md)",
-    )
-    fleet.add_argument(
         "--shard-dir",
         default=None,
         metavar="PATH",
@@ -1124,15 +1118,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    backend = getattr(args, "backend", None)
-    if backend is not None:
-        from .backends import resolve_backend
-
-        resolve_backend(backend)  # fail fast on unknown names
-        # Through the environment (not set_backend) so pipeline worker
-        # processes inherit the selection under fork and spawn alike.
-        os.environ["ROPUF_BACKEND"] = backend
-    handler = {**_COMMANDS, **_TOOL_COMMANDS}[args.command]
+    if args.command in _COMMANDS:
+        handler = _COMMANDS[args.command][0]
+    else:
+        handler = _TOOL_COMMANDS[args.command]
     outcome = handler(args)
     if isinstance(outcome, tuple):
         text, code = outcome

@@ -332,8 +332,7 @@ def measure_ddiffs_leave_one_out_batch(
         unit_indices = np.stack([ring.unit_indices for ring in rings])
         selected = chip.selected_path_delays(op)[unit_indices]
         bypass = chip.mux_bypass_delays(op)[unit_indices]
-        # (ring, config) true delays through the active compute backend; the
-        # default numpy backend keeps this bit-identical to the per-call
+        # (ring, config) true delays, bit-identical to the per-call
         # ConfigurableRO.chain_delay.
         backend = current_backend()
         true_delays = backend.loo_delay_matrix(selected, bypass, config_masks)

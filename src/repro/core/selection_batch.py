@@ -44,7 +44,6 @@ import numpy as np
 
 from .. import obs
 from ..backends import current_backend
-from ..backends.numpy_backend import _SEQUENTIAL_SUM_WIDTH  # noqa: F401  (test pin)
 from .config_vector import ConfigVector
 from .selection import PairSelection
 
@@ -60,12 +59,10 @@ __all__ = [
 def masked_row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """``np.sum(values[p, mask[p]])`` for every row ``p``.
 
-    Dispatches through the active compute backend
-    (:func:`repro.backends.current_backend`).  The default ``numpy``
-    backend keeps the historical bit-for-bit contract — rows selecting at
-    most :data:`~repro.backends.numpy_backend._SEQUENTIAL_SUM_WIDTH`
-    entries are summed in numpy's sequential regime exactly as the scalar
-    selectors would; tolerance backends document their own bounds.
+    Dispatches through :func:`repro.backends.current_backend`, which keeps
+    the bit-for-bit contract: rows selecting at most
+    :data:`repro.backends._SEQUENTIAL_SUM_WIDTH` entries are summed in
+    numpy's sequential regime exactly as the scalar selectors would.
     """
     return current_backend().masked_row_sums(values, mask)
 

@@ -6,7 +6,11 @@ ECC/fuzzy-extractor stack the paper's related work surveys ([10-12]) so the
 benches can quantify the "no ECC needed" claim.
 """
 
-from .authentication import AuthenticationResult, Authenticator
+from .authentication import (
+    AuthenticationResult,
+    Authenticator,
+    HammingAcceptRule,
+)
 from .crp import Challenge, ChallengeResponseInterface
 from .ecc import BCHCode, BlockCode, RepetitionCode
 from .fuzzy_extractor import FuzzyExtractor, HelperData
@@ -16,6 +20,7 @@ from .keygen import KeyGenerator, KeyMaterial
 __all__ = [
     "AuthenticationResult",
     "Authenticator",
+    "HammingAcceptRule",
     "Challenge",
     "ChallengeResponseInterface",
     "BCHCode",

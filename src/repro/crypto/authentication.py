@@ -16,7 +16,7 @@ import numpy as np
 
 from ..metrics.hamming import hamming_distance
 
-__all__ = ["AuthenticationResult", "Authenticator"]
+__all__ = ["AuthenticationResult", "Authenticator", "HammingAcceptRule"]
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,45 @@ class AuthenticationResult:
     threshold: int
 
 
+@dataclass(frozen=True)
+class HammingAcceptRule:
+    """Accept a response within ``floor(fraction * bits)`` of its reference.
+
+    The one copy of the verifier's accept rule, shared by
+    :class:`Authenticator` and the serving layer's ``auth``/``attest``
+    verbs.
+
+    Attributes:
+        fraction: maximum accepted HD as a fraction of the response
+            length, in ``(0, 0.5)``.
+    """
+
+    fraction: float = 0.15
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.fraction < 0.5:
+            raise ValueError(
+                f"threshold_fraction must be in (0, 0.5), got {self.fraction}"
+            )
+
+    def verdict(
+        self, device_id: str, reference: np.ndarray, response: np.ndarray
+    ) -> AuthenticationResult:
+        """Judge ``response`` against ``reference`` (equal-length bits).
+
+        Raises:
+            ValueError: when the lengths differ.
+        """
+        distance = hamming_distance(reference, response)
+        threshold = int(np.floor(self.fraction * len(reference)))
+        return AuthenticationResult(
+            device_id=device_id,
+            accepted=distance <= threshold,
+            distance=distance,
+            threshold=threshold,
+        )
+
+
 @dataclass
 class Authenticator:
     """A verifier holding reference responses of enrolled devices.
@@ -50,11 +89,7 @@ class Authenticator:
     _references: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.threshold_fraction < 0.5:
-            raise ValueError(
-                "threshold_fraction must be in (0, 0.5), got "
-                f"{self.threshold_fraction}"
-            )
+        self._rule = HammingAcceptRule(self.threshold_fraction)
 
     @property
     def enrolled_devices(self) -> list[str]:
@@ -83,13 +118,6 @@ class Authenticator:
         """
         if device_id not in self._references:
             raise KeyError(f"unknown device {device_id!r}")
-        reference = self._references[device_id]
-        response = np.asarray(response).astype(bool)
-        distance = hamming_distance(reference, response)
-        threshold = int(np.floor(self.threshold_fraction * len(reference)))
-        return AuthenticationResult(
-            device_id=device_id,
-            accepted=distance <= threshold,
-            distance=distance,
-            threshold=threshold,
+        return self._rule.verdict(
+            device_id, self._references[device_id], response
         )

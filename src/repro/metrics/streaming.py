@@ -136,7 +136,6 @@ class StreamingUniqueness:
         x = bits.astype(np.int64)
         self.rows += bits.shape[0]
         self.column_ones += x.sum(axis=0)
-        # Integer-exact on every backend (the statistics must stay exact).
         current_backend().gram_update(self.gram, x)
 
     def merge(self, other: "StreamingUniqueness") -> None:

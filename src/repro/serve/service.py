@@ -70,6 +70,7 @@ from typing import Callable
 import numpy as np
 
 from .. import obs
+from ..crypto.authentication import HammingAcceptRule
 from ..crypto.crp import Challenge
 from ..crypto.ecc import BCHCode
 from ..crypto.fuzzy_extractor import FuzzyExtractor
@@ -150,11 +151,7 @@ class AuthService:
         exporter=None,
         degraded_probe_interval_s: float = 1.0,
     ):
-        if not 0.0 < threshold_fraction < 0.5:
-            raise ValueError(
-                f"threshold_fraction must be in (0, 0.5), got "
-                f"{threshold_fraction}"
-            )
+        self.accept_rule = HammingAcceptRule(threshold_fraction)
         if challenge_ttl_s <= 0.0:
             raise ValueError(
                 f"challenge_ttl_s must be > 0, got {challenge_ttl_s}"
@@ -168,7 +165,6 @@ class AuthService:
         self.store = store
         self.coalescer = coalescer or RequestCoalescer()
         self._owns_coalescer = coalescer is None
-        self.threshold_fraction = threshold_fraction
         self.extractor = extractor or FuzzyExtractor(
             code=BCHCode(m=5, t=3), key_bytes=16
         )
@@ -396,9 +392,8 @@ class AuthService:
                 f"{len(expected)}",
                 "BadRequest",
             )
-        distance = int(np.count_nonzero(answer ^ expected))
-        threshold = int(np.floor(self.threshold_fraction * len(expected)))
-        accepted = distance <= threshold
+        verdict = self.accept_rule.verdict(record.device_id, expected, answer)
+        accepted = verdict.accepted
         self._count("auth.accepted" if accepted else "auth.rejected")
         obs.counter_add(
             "serve.auth.accepted" if accepted else "serve.auth.rejected"
@@ -406,8 +401,8 @@ class AuthService:
         return {
             "ok": True,
             "accepted": accepted,
-            "distance": distance,
-            "threshold": threshold,
+            "distance": verdict.distance,
+            "threshold": verdict.threshold,
         }
 
     def _op_attest(self, request: dict) -> dict:
@@ -423,11 +418,10 @@ class AuthService:
                 f"has {record.bit_count}",
                 "FleetMismatch",
             )
-        distance = int(np.count_nonzero(bits ^ record.reference_bits))
-        threshold = int(
-            np.floor(self.threshold_fraction * record.bit_count)
+        verdict = self.accept_rule.verdict(
+            record.device_id, record.reference_bits, bits
         )
-        accepted = distance <= threshold
+        accepted = verdict.accepted
         self._count("attest.accepted" if accepted else "attest.rejected")
         obs.counter_add(
             "serve.attest.accepted" if accepted else "serve.attest.rejected"
@@ -435,8 +429,8 @@ class AuthService:
         return {
             "ok": True,
             "accepted": accepted,
-            "distance": distance,
-            "threshold": threshold,
+            "distance": verdict.distance,
+            "threshold": verdict.threshold,
             "response": encode_bits(bits),
         }
 

@@ -1,52 +1,29 @@
-"""The compute-backend layer: selection, identity, and tolerance contracts.
+"""The dense kernel set: bit-identity with the reference computations.
 
-Three contracts are pinned here:
-
-* the ``numpy`` backend is **bit-identical** to the reference loops across
-  all three kernel families (masked row sums, pair/sweep delay sums, the
-  leave-one-out solve) — dispatching through the backend seam changes no
-  output anywhere;
-* ``numpy-float32`` and ``tiled`` agree with the exact backend within
-  their documented ``DELAY_RTOL``/``DELAY_ATOL`` on delays, exactly on
-  decision bits whenever the margin clears the tolerance, and exactly on
-  the integer Gram update regardless;
-* selection precedence is override > ``ROPUF_BACKEND`` env var > default.
+Every kernel in :mod:`repro.backends` is pinned **bit-for-bit** to the
+reference it replaced — masked row sums, pair/sweep delay sums (both the
+ring-mask sweep and its shared-ring gather fallback), the leave-one-out
+solve, and the integer Gram update — so dispatching through it changes
+no output anywhere.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro import backends
 from repro.backends import (
-    Backend,
-    BackendConfig,
-    Float32Backend,
+    _SEQUENTIAL_SUM_WIDTH,
     NumpyBackend,
-    TiledBackend,
-    available_backends,
     current_backend,
-    resolve_backend,
-    set_backend,
-    use_backend,
+    gather_sweep_delay_sums,
 )
-from repro.backends.numpy_backend import _SEQUENTIAL_SUM_WIDTH
-
-TOLERANT = ["numpy-float32", "tiled"]
 
 
 def _reference_masked_row_sums(values: np.ndarray, mask: np.ndarray):
     return np.array(
         [np.sum(values[p, mask[p]]) for p in range(len(values))]
-    )
-
-
-def _delay_close(backend: Backend, got, want) -> bool:
-    return np.allclose(
-        got, want, rtol=backend.DELAY_RTOL, atol=backend.DELAY_ATOL
     )
 
 
@@ -62,16 +39,22 @@ def masked_rows(draw):
 
 
 @st.composite
-def sweep_problems(draw):
+def sweep_problems(draw, max_stages=8, shared_rings=False):
     ops = draw(st.integers(min_value=1, max_value=6))
     pairs = draw(st.integers(min_value=1, max_value=24))
-    stages = draw(st.integers(min_value=1, max_value=8))
+    stages = draw(st.integers(min_value=1, max_value=max_stages))
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     rng = np.random.default_rng(seed)
-    rings = 2 * pairs
+    if shared_rings and draw(st.booleans()):
+        # Fewer rings than masks: some ring feeds several mask rows.
+        rings = draw(st.integers(min_value=1, max_value=2 * pairs - 1))
+        top_rings = rng.integers(0, rings, size=pairs)
+        bottom_rings = rng.integers(0, rings, size=pairs)
+    else:
+        rings = 2 * pairs + draw(st.integers(min_value=0, max_value=4))
+        order = rng.permutation(rings)
+        top_rings, bottom_rings = order[:pairs], order[pairs : 2 * pairs]
     stacked = rng.normal(size=(ops, rings, stages))
-    order = rng.permutation(rings)
-    top_rings, bottom_rings = order[:pairs], order[pairs:]
     top_masks = (rng.random((pairs, stages)) < 0.5).astype(float)
     bottom_masks = (rng.random((pairs, stages)) < 0.5).astype(float)
     return stacked, top_rings, bottom_rings, top_masks, bottom_masks
@@ -91,7 +74,7 @@ def loo_problems(draw):
 
 
 class TestNumpyBackendBitIdentity:
-    """The default backend reproduces the reference loops bit-for-bit."""
+    """Every kernel reproduces its reference computation bit-for-bit."""
 
     @given(problem=masked_rows())
     def test_masked_row_sums_exact(self, problem):
@@ -116,6 +99,38 @@ class TestNumpyBackendBitIdentity:
         row = backend.pair_delay_sums(stacked[0, top_rings, :], top_masks)
         assert np.array_equal(row, want_top[0])
 
+    @given(problem=sweep_problems(max_stages=15, shared_rings=True))
+    def test_ring_mask_sweep_equals_gather(self, problem):
+        # The production sweep (one ring-mask einsum, or the gather
+        # fallback when rings are shared) against the gather form, bit
+        # for bit, including stage widths past numpy's sequential regime.
+        got = NumpyBackend().sweep_pair_delay_sums(*problem)
+        want = gather_sweep_delay_sums(*problem)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    def test_shared_ring_fallback_matches_gather(self):
+        # One ring feeding several masks must take the gather fallback
+        # (the ring-mask scatter would clobber) and match it exactly.
+        rng = np.random.default_rng(11)
+        stacked = rng.normal(size=(3, 8, 4))
+        top_rings = np.zeros(5, dtype=int)  # everyone shares ring 0
+        bottom_rings = np.arange(1, 6)
+        top_masks = (rng.random((5, 4)) < 0.5).astype(float)
+        bottom_masks = (rng.random((5, 4)) < 0.5).astype(float)
+        got = NumpyBackend().sweep_pair_delay_sums(
+            stacked, top_rings, bottom_rings, top_masks, bottom_masks
+        )
+        want_top = np.stack(
+            [[stacked[o, 0] @ top_masks[p] for p in range(5)] for o in range(3)]
+        )
+        assert np.allclose(got[0], want_top)
+        want = gather_sweep_delay_sums(
+            stacked, top_rings, bottom_rings, top_masks, bottom_masks
+        )
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
     @given(problem=loo_problems())
     def test_loo_solve_exact(self, problem):
         selected, bypass, config_masks = problem
@@ -129,96 +144,31 @@ class TestNumpyBackendBitIdentity:
             backend.loo_ddiffs(delays), delays[:, 0:1] - delays[:, 1:]
         )
 
-
-class TestToleranceBackends:
-    """float32/tiled stay within their documented bounds; ints stay exact."""
-
-    @pytest.mark.parametrize("name", TOLERANT)
-    @given(problem=masked_rows())
-    def test_masked_row_sums_within_tolerance(self, name, problem):
-        values, mask = problem
-        backend = resolve_backend(name)
-        got = backend.masked_row_sums(values, mask)
-        assert _delay_close(
-            backend, got, _reference_masked_row_sums(values, mask)
-        )
-
-    @pytest.mark.parametrize("name", TOLERANT)
-    @given(problem=sweep_problems())
-    def test_sweep_within_tolerance_and_bits_exact_above_margin(
-        self, name, problem
-    ):
-        stacked, top_rings, bottom_rings, top_masks, bottom_masks = problem
-        backend = resolve_backend(name)
-        exact = NumpyBackend()
-        top, bottom = backend.sweep_pair_delay_sums(
-            stacked, top_rings, bottom_rings, top_masks, bottom_masks
-        )
-        want_top, want_bottom = exact.sweep_pair_delay_sums(
-            stacked, top_rings, bottom_rings, top_masks, bottom_masks
-        )
-        assert _delay_close(backend, top, want_top)
-        assert _delay_close(backend, bottom, want_bottom)
-        # Decision bits: exact wherever the margin clears the tolerance.
-        margin = np.abs(want_top - want_bottom)
-        scale = np.maximum(np.abs(want_top), np.abs(want_bottom))
-        clear = margin > 4 * (backend.DELAY_RTOL * scale + backend.DELAY_ATOL)
-        assert np.array_equal(
-            (top > bottom)[clear], (want_top > want_bottom)[clear]
-        )
-
-    @pytest.mark.parametrize("name", TOLERANT)
-    @given(problem=loo_problems())
-    def test_loo_within_tolerance(self, name, problem):
-        selected, bypass, config_masks = problem
-        backend = resolve_backend(name)
-        got = backend.loo_delay_matrix(selected, bypass, config_masks)
-        want = NumpyBackend().loo_delay_matrix(selected, bypass, config_masks)
-        assert _delay_close(backend, got, want)
-
-    @pytest.mark.parametrize("name", ["numpy"] + TOLERANT)
     @given(
         seed=st.integers(min_value=0, max_value=2**31 - 1),
         rows=st.integers(min_value=1, max_value=200),
         bits=st.integers(min_value=1, max_value=16),
     )
-    def test_gram_update_integer_exact_everywhere(self, name, seed, rows, bits):
+    def test_gram_update_integer_exact(self, seed, rows, bits):
         rng = np.random.default_rng(seed)
         x = rng.integers(0, 2, size=(rows, bits)).astype(np.int64)
         gram = np.zeros((bits, bits), dtype=np.int64)
-        resolve_backend(name).gram_update(gram, x)
+        NumpyBackend().gram_update(gram, x)
         assert np.array_equal(gram, x.T @ x)
 
-    def test_tiled_blocks_smaller_than_input(self):
-        # Force multiple blocks (and the threaded path) on a small problem.
-        backend = TiledBackend(tile_rows=3, threads=2)
-        rng = np.random.default_rng(7)
-        values = rng.normal(size=(17, 9))
-        mask = rng.random((17, 9)) < 0.5
-        assert _delay_close(
-            backend,
-            backend.masked_row_sums(values, mask),
-            _reference_masked_row_sums(values, mask),
-        )
-
-    def test_tiled_shared_ring_fallback_matches(self):
-        # One ring feeding several masks must take the blocked fallback
-        # (the scatter would clobber) and still match the exact kernel.
-        rng = np.random.default_rng(11)
-        stacked = rng.normal(size=(3, 8, 4))
-        top_rings = np.zeros(5, dtype=int)  # everyone shares ring 0
-        bottom_rings = np.arange(1, 6)
-        top_masks = (rng.random((5, 4)) < 0.5).astype(float)
-        bottom_masks = (rng.random((5, 4)) < 0.5).astype(float)
-        backend = TiledBackend(tile_rows=2)
-        got = backend.sweep_pair_delay_sums(
-            stacked, top_rings, bottom_rings, top_masks, bottom_masks
-        )
-        want = NumpyBackend().sweep_pair_delay_sums(
-            stacked, top_rings, bottom_rings, top_masks, bottom_masks
-        )
-        assert _delay_close(backend, got[0], want[0])
-        assert _delay_close(backend, got[1], want[1])
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        count=st.integers(min_value=0, max_value=_SEQUENTIAL_SUM_WIDTH),
+        width=st.integers(min_value=0, max_value=_SEQUENTIAL_SUM_WIDTH),
+    )
+    def test_sequential_sum_width_invariant(self, seed, count, width):
+        # The fast path's premise: numpy sums rows this narrow left to
+        # right, so trailing zero padding cannot change the bits.
+        count = min(count, width)
+        values = np.random.default_rng(seed).normal(size=count)
+        padded = np.zeros(width)
+        padded[:count] = values
+        assert padded.sum() == np.sum(values)
 
 
 def _board_puf(method: str = "case1", seed: int = 7):
@@ -243,25 +193,9 @@ def _board_puf(method: str = "case1", seed: int = 7):
 
 
 class TestEngineLevelIdentity:
-    """Through the real engines: numpy backend == historical outputs."""
+    """Through the real engines: the kernels reproduce the loop outputs."""
 
-    def test_batch_selectors_unchanged_and_tolerant_backends_close(self):
-        with use_backend("numpy"):
-            reference = _board_puf().enroll()
-        for name in ["numpy"] + TOLERANT:
-            with use_backend(name):
-                other = _board_puf().enroll()
-            # selection margins sit far above both backends' tolerances
-            assert np.array_equal(other.bits, reference.bits)
-            for got, want in zip(other.selections, reference.selections):
-                assert np.array_equal(
-                    got.top_config.as_array(), want.top_config.as_array()
-                )
-                assert np.array_equal(
-                    got.bottom_config.as_array(), want.bottom_config.as_array()
-                )
-
-    def test_sweep_engine_matches_reference_loop_per_backend(self):
+    def test_sweep_engine_matches_reference_loop(self):
         from repro.core.batch import BatchEvaluator, response_loop_reference
         from repro.variation.environment import OperatingPoint
 
@@ -269,86 +203,21 @@ class TestEngineLevelIdentity:
             OperatingPoint(voltage=v, temperature=25.0)
             for v in (0.98, 1.20, 1.44)
         ]
-        with use_backend("numpy"):
-            puf = _board_puf(method="case2")
-            enrollment = puf.enroll()
-            looped = np.stack(
-                [response_loop_reference(puf, enrollment, op) for op in ops]
-            )
-        for name in ["numpy"] + TOLERANT:
-            with use_backend(name):
-                swept = BatchEvaluator.from_puf(puf, enrollment).response_sweep(
-                    ops
-                )
-            assert np.array_equal(swept, looped)  # bits clear the margins
-
-
-class TestSelectionAndConfig:
-    def test_default_and_available(self):
-        assert current_backend().name == "numpy"
-        assert current_backend().exact
-        names = available_backends()
-        assert {"numpy", "numpy-float32", "tiled"} <= set(names)
-        if not backends.HAVE_NUMBA:
-            assert "numba" not in names
-
-    def test_env_var_selection(self, monkeypatch):
-        monkeypatch.setenv("ROPUF_BACKEND", "numpy-float32")
-        assert current_backend().name == "numpy-float32"
-        monkeypatch.setenv(
-            "ROPUF_BACKEND", '{"name":"tiled","tile_rows":64,"threads":2}'
+        puf = _board_puf(method="case2")
+        enrollment = puf.enroll()
+        looped = np.stack(
+            [response_loop_reference(puf, enrollment, op) for op in ops]
         )
+        swept = BatchEvaluator.from_puf(puf, enrollment).response_sweep(ops)
+        assert np.array_equal(swept, looped)
+
+
+class TestCurrentBackend:
+    def test_current_backend_is_the_numpy_kernel_set(self):
         backend = current_backend()
-        assert backend.name == "tiled"
-        assert (backend.tile_rows, backend.threads) == (64, 2)
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("ROPUF_BACKEND", "tiled")
-        try:
-            set_backend("numpy-float32")
-            assert current_backend().name == "numpy-float32"
-        finally:
-            set_backend(None)
-        assert current_backend().name == "tiled"
-
-    def test_use_backend_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with use_backend("tiled"):
-                assert current_backend().name == "tiled"
-                raise RuntimeError("boom")
-        assert current_backend().name == "numpy"
-
-    def test_unknown_backend_lists_available(self):
-        with pytest.raises(ValueError, match="available:.*numpy"):
-            resolve_backend("cuda")
-
-    def test_config_round_trip_and_validation(self):
-        config = BackendConfig(name="tiled", tile_rows=128, threads=3)
-        assert BackendConfig.from_json(config.to_json()) == config
-        with pytest.raises(ValueError):
-            BackendConfig(name="tiled", tile_rows=0)
-        with pytest.raises(ValueError):
-            BackendConfig(name="tiled", threads=0)
-        with pytest.raises(ValueError):
-            BackendConfig(name="")
-
-    def test_instances_cached_per_config(self):
-        assert resolve_backend("tiled") is resolve_backend("tiled")
-        assert resolve_backend("tiled") is not resolve_backend(
-            BackendConfig(name="tiled", tile_rows=99)
-        )
-
-    def test_register_backend_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="already registered"):
-            backends.register_backend("numpy", lambda config: NumpyBackend())
-
-    def test_sequential_sum_width_reexport(self):
-        # the byte-identity pin the selectors rely on lives with the kernel
-        from repro.core.selection_batch import (
-            _SEQUENTIAL_SUM_WIDTH as via_selectors,
-        )
-
-        assert via_selectors == _SEQUENTIAL_SUM_WIDTH == 7
+        assert isinstance(backend, NumpyBackend)
+        assert backend.name == "numpy"
+        assert current_backend() is backend
 
     def test_backend_counters_recorded(self):
         from repro import obs
@@ -365,13 +234,3 @@ class TestSelectionAndConfig:
             obs.reset_metrics()
         assert counters["backend.numpy.calls"] == 1
         assert counters["backend.numpy.masked_row_sums.elements"] == 12
-
-    def test_float32_is_actually_single_precision(self):
-        # sanity: the backend really reduces in float32 (a sum that loses
-        # precision in single must differ from the float64 reference)
-        values = np.array([[1.0, 1e-9, -1.0]])
-        mask = np.ones_like(values, dtype=bool)
-        exact = NumpyBackend().masked_row_sums(values, mask)
-        single = Float32Backend().masked_row_sums(values, mask)
-        assert exact[0] != 0.0
-        assert single[0] != exact[0]

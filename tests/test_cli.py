@@ -93,6 +93,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table5", "--jobs", "2"],
+            ["all", "--raw"],
+            ["all", "--method", "case2"],
+            ["table3", "--raw"],
+            ["serve", "--backend", "numpy"],
+            ["fleet", "--backend", "numpy"],
+        ],
+    )
+    def test_flags_only_on_verbs_that_read_them(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_jobs_requires_integer(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["all", "--jobs", "many"])
@@ -111,17 +128,14 @@ class TestParser:
             }
         )
         assert options == [
-            "--backend",
             "--backoff",
             "--cache-dir",
             "--chaos",
             "--data",
             "--help",
             "--jobs",
-            "--method",
             "--output",
             "--profile",
-            "--raw",
             "--resume",
             "--retries",
             "--task-timeout",

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.pairing import RingAllocation
 from repro.core.puf import BoardROPUF
-from repro.crypto.authentication import Authenticator
+from repro.crypto.authentication import Authenticator, HammingAcceptRule
 from repro.crypto.ecc import BCHCode, RepetitionCode
 from repro.crypto.fuzzy_extractor import FuzzyExtractor, HelperData
 from repro.crypto.keygen import KeyGenerator
@@ -157,6 +157,23 @@ class TestAuthenticator:
             Authenticator(threshold_fraction=0.0)
         with pytest.raises(ValueError):
             Authenticator(threshold_fraction=0.6)
+
+    def test_accept_rule_floors_the_threshold(self):
+        rule = HammingAcceptRule(0.15)
+        reference = np.zeros(20, dtype=bool)  # floor(0.15 * 20) == 3
+        at_limit = reference.copy()
+        at_limit[:3] = True
+        over = reference.copy()
+        over[:4] = True
+        verdict = rule.verdict("d", reference, at_limit)
+        assert (verdict.accepted, verdict.distance, verdict.threshold) == (
+            True,
+            3,
+            3,
+        )
+        assert not rule.verdict("d", reference, over).accepted
+        with pytest.raises(ValueError, match="length mismatch"):
+            rule.verdict("d", reference, reference[:19])
 
     def test_reference_validated(self):
         verifier = Authenticator()
