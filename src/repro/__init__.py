@@ -47,7 +47,6 @@ from .core import (
     allocate_rings,
     select_case1,
     select_case2,
-    select_exhaustive,
     select_traditional,
 )
 from .crypto import Authenticator, BCHCode, FuzzyExtractor, KeyGenerator
@@ -86,7 +85,6 @@ __all__ = [
     "allocate_rings",
     "select_case1",
     "select_case2",
-    "select_exhaustive",
     "select_traditional",
     "Authenticator",
     "BCHCode",

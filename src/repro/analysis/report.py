@@ -80,7 +80,8 @@ def build_report(dataset=None) -> ReproductionReport:
 
     Args:
         dataset: an :class:`~repro.datasets.base.RODataset`; defaults to the
-            full paper-scale synthetic dataset (takes ~30 s).
+            full paper-scale synthetic dataset (a few seconds: 3-5 s on
+            a 2-vCPU host, dataset generation included).
     """
     from ..experiments import (
         ablations,

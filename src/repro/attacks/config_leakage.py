@@ -7,10 +7,13 @@ module turns that sentence into an experiment: an attacker who reads the
 (non-secret) configuration vectors from device memory trains a classifier
 to predict the PUF bits.
 
-* against :func:`~repro.core.selection_ext.select_unconstrained` (counts
-  free) the count difference is an almost perfect predictor;
+* against :func:`~repro.core.selection_batch.select_unconstrained_batch`
+  (counts free) the count difference is an almost perfect predictor;
 * against Case-1/Case-2 (equal counts) accuracy stays at chance, validating
   the constraint.
+
+Each scheme selects every pair in one batch call; the attacker's features
+come straight from the mask matrices.
 """
 
 from __future__ import annotations
@@ -20,23 +23,26 @@ from typing import Callable
 
 import numpy as np
 
-from ..core.selection import PairSelection
+from ..core.selection_batch import BatchSelection
 from .logistic import LogisticRegression
 
 __all__ = ["LeakageResult", "config_features", "evaluate_config_leakage"]
 
 
-def config_features(selection: PairSelection) -> np.ndarray:
-    """Attacker-visible features of one pair's configuration.
+def config_features(selection: BatchSelection) -> np.ndarray:
+    """Attacker-visible features of every pair's configuration.
 
-    The feature vector contains the two selection-count summaries plus the
-    raw configuration bits of both rings — everything stored in the clear.
+    Row ``p`` holds the two selection-count summaries of pair ``p`` plus
+    the raw configuration bits of both rings — everything stored in the
+    clear: ``(pair, 2 + 2 * stage)``.
     """
-    top = selection.top_config.as_array().astype(float)
-    bottom = selection.bottom_config.as_array().astype(float)
-    count_difference = float(top.sum() - bottom.sum())
-    total_count = float(top.sum() + bottom.sum())
-    return np.concatenate([[count_difference, total_count], top, bottom])
+    top = selection.top_masks.astype(float)
+    bottom = selection.bottom_masks.astype(float)
+    top_counts = top.sum(axis=1)
+    bottom_counts = bottom.sum(axis=1)
+    return np.column_stack(
+        [top_counts - bottom_counts, top_counts + bottom_counts, top, bottom]
+    )
 
 
 @dataclass
@@ -63,33 +69,31 @@ class LeakageResult:
 
 
 def evaluate_config_leakage(
-    selector: Callable[[np.ndarray, np.ndarray], PairSelection],
+    selector: Callable[[np.ndarray, np.ndarray], BatchSelection],
     scheme: str,
-    pair_delays: list[tuple[np.ndarray, np.ndarray]],
+    alpha: np.ndarray,
+    beta: np.ndarray,
     train_fraction: float = 0.5,
     seed: int = 0,
 ) -> LeakageResult:
     """Train/evaluate the configuration-leakage attacker on delay pairs.
 
     Args:
-        selector: the selection scheme under attack.
+        selector: the batch selection scheme under attack, e.g.
+            :func:`~repro.core.selection_batch.select_case1_batch`.
         scheme: label for reports.
-        pair_delays: (alpha, beta) delay vectors of each RO pair.
+        alpha: ``(pair, stage)`` per-unit delays of the top rings.
+        beta: same for the bottom rings.
         train_fraction: fraction of pairs used to train the attacker.
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
-    if len(pair_delays) < 10:
+    if len(alpha) < 10:
         raise ValueError("need at least 10 pairs for a meaningful attack")
 
-    features = []
-    labels = []
-    for alpha, beta in pair_delays:
-        selection = selector(alpha, beta)
-        features.append(config_features(selection))
-        labels.append(selection.bit)
-    features = np.stack(features)
-    labels = np.array(labels, dtype=bool)
+    selection = selector(alpha, beta)
+    features = config_features(selection)
+    labels = selection.bits
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(labels))

@@ -204,7 +204,8 @@ def _cmd_extensions(args) -> str:
     return "\n\n".join(sections)
 
 
-def _cmd_report(args) -> str:
+def _cmd_report(args) -> tuple[str, int]:
+    """Write the reproduction report; exit 1 when any paper claim fails."""
     from .analysis.report import build_report
 
     report = build_report()
@@ -214,7 +215,7 @@ def _cmd_report(args) -> str:
     failing = [c.claim for c in report.claims if not c.holds]
     lines = [f"report written to {path}", verdict]
     lines.extend(f"  failing: {claim}" for claim in failing)
-    return "\n".join(lines)
+    return "\n".join(lines), 0 if report.all_claims_hold else 1
 
 
 def _cmd_all(args) -> str:

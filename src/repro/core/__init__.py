@@ -6,8 +6,8 @@ Public surface:
   Fig. 1 / Fig. 2 hardware structures;
 * measurement — the Sec. III.B chain-delay schemes that recover per-unit
   ``ddiff`` values;
-* selection — the Sec. III.D Case-1 / Case-2 optimisers plus an exhaustive
-  reference;
+* selection — the Sec. III.D Case-1 / Case-2 optimisers, one-row views of
+  the batch selectors;
 * :class:`RingAllocation` — Table V's carve-up of a board into rings;
 * :class:`BoardROPUF` / :class:`ChipROPUF` — enrollment and response
   generation;
@@ -15,9 +15,9 @@ Public surface:
   ``response``/``response_sweep`` (compiled selection masks, einsum row
   sums, one noise draw per sweep shape);
 * selection_batch / batch measurement — the vectorized enrollment engine:
-  batch selectors over ``(pair, stage)`` matrices (byte-identical to the
-  scalar selectors) and one-tensor leave-one-out measurement under the
-  versioned ``"enroll-v1"`` draw order.
+  batch selectors over ``(pair, stage)`` matrices (the one implementation
+  of each selection rule) and one-tensor leave-one-out measurement under
+  the versioned ``"enroll-v1"`` draw order.
 """
 
 from .batch import (
@@ -33,7 +33,6 @@ from .config_vector import ConfigVector
 from .delay_unit import DelayUnit
 from .multicorner import (
     select_case1_multicorner,
-    select_multicorner_exhaustive,
     worst_case_margin,
 )
 from .measurement import (
@@ -55,7 +54,6 @@ from .selection import (
     PairSelection,
     select_case1,
     select_case2,
-    select_exhaustive,
     select_traditional,
 )
 from .selection_batch import (
@@ -64,6 +62,7 @@ from .selection_batch import (
     select_case1_batch,
     select_case2_batch,
     select_traditional_batch,
+    select_unconstrained_batch,
 )
 from .selection_ext import (
     select_case1_offset,
@@ -103,17 +102,16 @@ __all__ = [
     "PairSelection",
     "select_case1",
     "select_case2",
-    "select_exhaustive",
     "select_traditional",
     "BATCH_SELECTION_METHODS",
     "BatchSelection",
     "select_case1_batch",
     "select_case2_batch",
     "select_traditional_batch",
+    "select_unconstrained_batch",
     "select_case1_offset",
     "select_case2_offset",
     "select_unconstrained",
     "select_case1_multicorner",
-    "select_multicorner_exhaustive",
     "worst_case_margin",
 ]

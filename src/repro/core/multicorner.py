@@ -9,14 +9,12 @@ margin — removes the enrollment-corner sensitivity altogether.
 
 For Case-1 the worst-case-margin objective is no longer solved by the
 sign rule (a unit can help at one corner and hurt at another), so we use
-a greedy ascent with a provable starting point plus local improvement;
-an exhaustive reference is provided for small rings and used by the test
-suite to bound the greedy's gap.
+a greedy ascent with a provable starting point plus local improvement.
+The test suite bounds the greedy's gap with a brute-force search
+(``tests/selection_oracle.py``).
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 import numpy as np
 
@@ -25,7 +23,6 @@ from .selection import PairSelection, _validate_pair
 
 __all__ = [
     "select_case1_multicorner",
-    "select_multicorner_exhaustive",
     "worst_case_margin",
 ]
 
@@ -116,37 +113,4 @@ def select_case1_multicorner(
         bottom_config=config,
         margin=worst_case_margin(deltas, best),
         method="case1-multicorner",
-    )
-
-
-_EXHAUSTIVE_LIMIT = 14
-
-
-def select_multicorner_exhaustive(
-    alphas: list[np.ndarray], betas: list[np.ndarray]
-) -> PairSelection:
-    """Brute-force worst-case-margin optimum (reference, small rings)."""
-    deltas = _stack_deltas(alphas, betas)
-    units = deltas.shape[1]
-    if units > _EXHAUSTIVE_LIMIT:
-        raise ValueError(
-            f"exhaustive search supports up to {_EXHAUSTIVE_LIMIT} units"
-        )
-    best_selected = None
-    best_value = -1.0
-    for count in range(1, units + 1):
-        for subset in combinations(range(units), count):
-            selected = np.zeros(units, dtype=bool)
-            selected[list(subset)] = True
-            value = abs(worst_case_margin(deltas, selected))
-            if value > best_value:
-                best_value = value
-                best_selected = selected
-    assert best_selected is not None
-    config = ConfigVector.from_array(best_selected)
-    return PairSelection(
-        top_config=config,
-        bottom_config=config,
-        margin=worst_case_margin(deltas, best_selected),
-        method="multicorner-exhaustive",
     )

@@ -18,10 +18,16 @@ from the configuration sizes.
   top units against the k fastest bottom units (and the mirror direction)
   while the pairwise gap stays positive is optimal, because for a fixed
   count ``k`` the best achievable difference is (sum of k largest alpha) -
-  (sum of k smallest beta), whose increment in k is non-increasing.
+  (sum of k smallest beta), whose increment in k is non-increasing.  With
+  ``require_odd`` the direction is chosen before the parity repair, so the
+  result can fall short of the odd-count optimum (DESIGN.md §4b).
 
-* **Exhaustive** — a brute-force reference used by the test suite to verify
-  optimality of both cases on small rings.
+The rules are implemented once, over ``(pair, stage)`` matrices, in
+:mod:`repro.core.selection_batch`.  :func:`select_case1`,
+:func:`select_case2` and :func:`select_traditional` are one-row views of
+those batch selectors for callers that configure a single pair.  The
+original per-pair algorithms and a brute-force exhaustive search survive
+only as the test suite's reference oracle (``tests/selection_oracle.py``).
 
 The paper conjectures the optimum selects about ``n/2`` units; experiment
 E10 measures that distribution.
@@ -30,19 +36,21 @@ E10 measures that distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .. import obs
 from .config_vector import ConfigVector
+from .selection_batch import (
+    select_case1_batch,
+    select_case2_batch,
+    select_traditional_batch,
+)
 
 __all__ = [
     "PairSelection",
     "select_case1",
     "select_case2",
     "select_traditional",
-    "select_exhaustive",
 ]
 
 
@@ -55,8 +63,8 @@ class PairSelection:
         bottom_config: configuration vector of the bottom ring.
         margin: signed delay difference (top minus bottom) over the selected
             units, in the delay unit of the inputs.  The PUF bit is its sign.
-        method: ``"case1"``, ``"case2"``, ``"traditional"`` or
-            ``"exhaustive-*"``.
+        method: the selection method's name, e.g. ``"case1"``, ``"case2"``
+            or ``"traditional"``.
     """
 
     top_config: ConfigVector
@@ -80,7 +88,9 @@ class PairSelection:
         return abs(self.margin)
 
 
-def _validate_pair(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _validate_pair(
+    alpha: np.ndarray, beta: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     if alpha.ndim != 1 or beta.ndim != 1:
@@ -92,6 +102,13 @@ def _validate_pair(alpha: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.
     if len(alpha) == 0:
         raise ValueError("delay vectors cannot be empty")
     return alpha, beta
+
+
+def _one_row(batch_selector, alpha, beta, **kwargs) -> PairSelection:
+    """Run a batch selector on a single pair and unwrap its one row."""
+    alpha, beta = _validate_pair(alpha, beta)
+    batch = batch_selector(alpha[None, :], beta[None, :], **kwargs)
+    return batch.to_selections()[0]
 
 
 def select_case1(
@@ -107,72 +124,7 @@ def select_case1(
         require_odd: force an odd selected count so the rings can free-run
             (the paper's formulation ignores parity; see DESIGN.md).
     """
-    alpha, beta = _validate_pair(alpha, beta)
-    obs.counter_add("selector.case1.scalar_calls")
-    delta = alpha - beta
-
-    best_selected: np.ndarray | None = None
-    best_margin = 0.0
-    # Evaluate both sign directions: with the odd-count constraint the
-    # optimum can live in the direction whose unconstrained sum is smaller.
-    for sign in (1.0, -1.0):
-        selected = _direction_selection(delta, sign, require_odd)
-        margin = float(np.sum(delta[selected]))
-        if best_selected is None or abs(margin) > abs(best_margin):
-            best_selected = selected
-            best_margin = margin
-
-    assert best_selected is not None
-    config = ConfigVector.from_array(best_selected)
-    return PairSelection(
-        top_config=config,
-        bottom_config=config,
-        margin=best_margin,
-        method="case1",
-    )
-
-
-def _direction_selection(
-    delta: np.ndarray, sign: float, require_odd: bool
-) -> np.ndarray:
-    """Best selection whose margin points in one sign direction.
-
-    Unconstrained, that is every unit with a positive contribution
-    ``sign * delta``; under the odd-count constraint, parity is fixed by
-    whichever is cheaper — dropping the weakest selected unit or adding the
-    least-harmful unselected one (optimal for this direction, since any odd
-    subset differs from the greedy one by at least that much margin).
-    """
-    contributions = sign * delta
-    selected = contributions > 0.0
-    if not np.any(selected):
-        # No unit helps this direction: fall back to the least-bad single
-        # unit so the pair still yields a bit (and parity is already odd).
-        selected = np.zeros(len(delta), dtype=bool)
-        selected[int(np.argmax(contributions))] = True
-        return selected
-
-    if require_odd and int(np.sum(selected)) % 2 == 0:
-        drop_candidates = np.where(selected)[0]
-        drop_cost = float(np.min(contributions[drop_candidates]))
-        add_candidates = np.where(~selected)[0]
-        add_cost = (
-            float(np.min(-contributions[add_candidates]))
-            if len(add_candidates)
-            else np.inf
-        )
-        selected = selected.copy()
-        if add_cost < drop_cost or len(drop_candidates) == 1:
-            best_add = add_candidates[
-                int(np.argmax(contributions[add_candidates]))
-            ]
-            selected[best_add] = True
-        else:
-            best_drop = drop_candidates[
-                int(np.argmin(contributions[drop_candidates]))
-            ]
-            selected[best_drop] = False
-    return selected
+    return _one_row(select_case1_batch, alpha, beta, require_odd=require_odd)
 
 
 def select_case2(
@@ -180,82 +132,13 @@ def select_case2(
     beta: np.ndarray,
     require_odd: bool = False,
 ) -> PairSelection:
-    """Optimal independent-configuration selection (the paper's Case-2).
+    """Independent-configuration selection (the paper's Case-2).
 
     The two rings may select different units but must select equally many.
+    Optimal without ``require_odd``; see the module docstring for the
+    odd-count caveat.
     """
-    alpha, beta = _validate_pair(alpha, beta)
-    obs.counter_add("selector.case2.scalar_calls")
-    n = len(alpha)
-
-    # Direction A: make the top ring as slow as possible relative to the
-    # bottom -> positive margin.  Direction B is the mirror image.
-    order_alpha_desc = np.argsort(-alpha, kind="stable")
-    order_alpha_asc = order_alpha_desc[::-1]
-    order_beta_desc = np.argsort(-beta, kind="stable")
-    order_beta_asc = order_beta_desc[::-1]
-
-    gains_positive = alpha[order_alpha_desc] - beta[order_beta_asc]
-    gains_negative = beta[order_beta_desc] - alpha[order_alpha_asc]
-
-    k_pos, sum_pos = _greedy_prefix(gains_positive)
-    k_neg, sum_neg = _greedy_prefix(gains_negative)
-
-    if sum_pos >= sum_neg:
-        k, margin_sign = max(k_pos, 1), 1.0
-        top_idx = order_alpha_desc[:k]
-        bottom_idx = order_beta_asc[:k]
-    else:
-        k, margin_sign = max(k_neg, 1), -1.0
-        top_idx = order_alpha_asc[:k]
-        bottom_idx = order_beta_desc[:k]
-
-    if require_odd and k % 2 == 0:
-        gains = gains_positive if margin_sign > 0 else gains_negative
-        k = _odd_prefix_length(gains, k, n)
-        if margin_sign > 0:
-            top_idx = order_alpha_desc[:k]
-            bottom_idx = order_beta_asc[:k]
-        else:
-            top_idx = order_alpha_asc[:k]
-            bottom_idx = order_beta_desc[:k]
-
-    top = np.zeros(n, dtype=bool)
-    top[top_idx] = True
-    bottom = np.zeros(n, dtype=bool)
-    bottom[bottom_idx] = True
-    margin = float(np.sum(alpha[top]) - np.sum(beta[bottom]))
-    return PairSelection(
-        top_config=ConfigVector.from_array(top),
-        bottom_config=ConfigVector.from_array(bottom),
-        margin=margin,
-        method="case2",
-    )
-
-
-def _greedy_prefix(gains: np.ndarray) -> tuple[int, float]:
-    """Longest prefix of positive gains and its sum.
-
-    ``gains`` is non-increasing by construction, so the best prefix sum is
-    attained by taking elements while they are positive.
-    """
-    positive = gains > 0.0
-    k = int(np.argmin(positive)) if not positive.all() else len(gains)
-    if k == 0 and not positive[0]:
-        return 0, 0.0
-    return k, float(np.sum(gains[:k]))
-
-
-def _odd_prefix_length(gains: np.ndarray, k: int, n: int) -> int:
-    """Adjust an even prefix length to the better neighbouring odd length."""
-    candidates = [c for c in (k - 1, k + 1) if 1 <= c <= n]
-    best = candidates[0]
-    best_sum = float(np.sum(gains[:best]))
-    for c in candidates[1:]:
-        total = float(np.sum(gains[:c]))
-        if total > best_sum:
-            best, best_sum = c, total
-    return best
+    return _one_row(select_case2_batch, alpha, beta, require_odd=require_odd)
 
 
 def select_traditional(
@@ -271,70 +154,4 @@ def select_traditional(
             shared-configuration property) whose removal best preserves the
             margin magnitude.  Odd stage counts are unaffected.
     """
-    alpha, beta = _validate_pair(alpha, beta)
-    obs.counter_add("selector.traditional.scalar_calls")
-    n = len(alpha)
-    selected = np.ones(n, dtype=bool)
-    if require_odd and n % 2 == 0:
-        delta = alpha - beta
-        total = float(np.sum(delta))
-        # Dropping stage i leaves margin (total - delta[i]); keep the drop
-        # that maximises the remaining magnitude.
-        drop = int(np.argmax(np.abs(total - delta)))
-        selected[drop] = False
-    config = ConfigVector.from_array(selected)
-    margin = float(np.sum(alpha[selected]) - np.sum(beta[selected]))
-    return PairSelection(
-        top_config=config, bottom_config=config, margin=margin, method="traditional"
-    )
-
-
-_EXHAUSTIVE_LIMIT = 12
-
-
-def select_exhaustive(
-    alpha: np.ndarray,
-    beta: np.ndarray,
-    same_config: bool,
-    require_odd: bool = False,
-) -> PairSelection:
-    """Brute-force optimal selection, for verifying the fast algorithms.
-
-    Args:
-        same_config: True explores Case-1's space (one shared vector),
-            False explores Case-2's (independent vectors, equal counts).
-        require_odd: restrict to odd selected counts.
-
-    Raises:
-        ValueError: for rings longer than 12 units (search space explodes).
-    """
-    alpha, beta = _validate_pair(alpha, beta)
-    n = len(alpha)
-    if n > _EXHAUSTIVE_LIMIT:
-        raise ValueError(
-            f"exhaustive search supports up to {_EXHAUSTIVE_LIMIT} units, got {n}"
-        )
-
-    best: PairSelection | None = None
-    counts = range(1, n + 1)
-    if require_odd:
-        counts = range(1, n + 1, 2)
-
-    for k in counts:
-        for top_subset in combinations(range(n), k):
-            top = np.zeros(n, dtype=bool)
-            top[list(top_subset)] = True
-            bottom_subsets = [top_subset] if same_config else combinations(range(n), k)
-            for bottom_subset in bottom_subsets:
-                bottom = np.zeros(n, dtype=bool)
-                bottom[list(bottom_subset)] = True
-                margin = float(np.sum(alpha[top]) - np.sum(beta[bottom]))
-                if best is None or abs(margin) > best.abs_margin:
-                    best = PairSelection(
-                        top_config=ConfigVector.from_array(top),
-                        bottom_config=ConfigVector.from_array(bottom),
-                        margin=margin,
-                        method="exhaustive-case1" if same_config else "exhaustive-case2",
-                    )
-    assert best is not None  # counts is never empty for n >= 1
-    return best
+    return _one_row(select_traditional_batch, alpha, beta, require_odd=require_odd)

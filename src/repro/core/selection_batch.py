@@ -1,11 +1,11 @@
-"""Vectorized batch selectors: the enrollment half of the batch engine.
+"""Batch selectors: the one implementation of each selection rule.
 
-The scalar selectors of :mod:`repro.core.selection` decide one RO pair per
-call; enrolling a board walks them in a Python loop, which made enrollment
-the hot path of the ablations and threshold studies once responses were
-vectorized (:mod:`repro.core.batch`).  This module re-implements the three
-paper selectors over ``(pair, stage)`` delta *matrices* so a whole board
-enrolls in a handful of array operations:
+Every selection rule of Sec. III.D — Case-1, Case-2, the traditional
+all-stages baseline and the unconstrained-count extension — is implemented
+here once, over ``(pair, stage)`` delta *matrices*, so a whole board
+enrolls in a handful of array operations.  The per-pair selectors of
+:mod:`repro.core.selection` and :func:`repro.core.selection_ext.select_unconstrained`
+are one-row views of these functions.
 
 * :func:`select_case1_batch` — sign-mask reductions: both signed directions
   are materialised as boolean mask matrices, parity is repaired per row
@@ -15,46 +15,48 @@ enrolls in a handful of array operations:
   greedy pairing, with the odd-length repair evaluated on prefix masks.
 * :func:`select_traditional_batch` — all stages, with the even-stage-count
   parity drop evaluated row-wise.
+* :func:`select_unconstrained_batch` — one ring all stages, the other its
+  single fastest unit (no equal-count constraint).
 
 Byte-identity contract
 ----------------------
 
-Each batch selector produces, for every row, the exact
-:class:`~repro.core.selection.PairSelection` its scalar counterpart returns
-— same masks, and *bit-for-bit* the same margin floats.  Every decision in
-the scalar selectors is an elementwise comparison, a stable sort, or an
-``argmin``/``argmax``, all of which vectorize exactly; the only rounding-
-sensitive quantities are the ``np.sum`` reductions over selected subsets.
-Those are reproduced bit-for-bit by :func:`masked_row_sums`, which exploits
-the fact that numpy's pairwise summation degenerates to a plain sequential
-loop below 8 elements: rows selecting at most 7 entries are summed as
-left-packed zero-padded rows (trailing zeros are exact no-ops), wider rows
-fall back to a per-row ``np.sum`` over the compressed values.  The
-equivalence is pinned by ``tests/test_selection_batch.py`` (Hypothesis,
-batch ≡ scalar ≡ exhaustive) and ``tests/test_enroll_engine.py``
-(board enrollment vs the preserved loop reference).
+Row ``p`` is, mask for mask and bit for bit in its margin, what the
+original per-pair algorithm (kept as the test oracle
+``tests/selection_oracle.py``) returns for pair ``p``.  Every decision is
+an elementwise comparison, a stable sort, or an ``argmin``/``argmax``,
+all of which vectorize exactly; the ``np.sum`` reductions over selected
+subsets are reproduced bit-for-bit by :func:`masked_row_sums` (numpy sums
+sequentially below 8 elements; wider rows take a per-row ``np.sum`` over
+the compressed values).  ``tests/test_selection_batch.py`` pins batch ≡
+oracle with Hypothesis and ``tests/test_enroll_engine.py`` pins board
+enrollment against the preserved loop reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .. import obs
 from ..backends import current_backend
 from .config_vector import ConfigVector
-from .selection import PairSelection
+
+if TYPE_CHECKING:
+    from .selection import PairSelection
 
 __all__ = [
     "BatchSelection",
     "select_case1_batch",
     "select_case2_batch",
     "select_traditional_batch",
+    "select_unconstrained_batch",
     "BATCH_SELECTION_METHODS",
     "masked_row_sums",
 ]
+
 
 def masked_row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """``np.sum(values[p, mask[p]])`` for every row ``p``.
@@ -62,7 +64,8 @@ def masked_row_sums(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     Dispatches through :func:`repro.backends.current_backend`, which keeps
     the bit-for-bit contract: rows selecting at most
     :data:`repro.backends._SEQUENTIAL_SUM_WIDTH` entries are summed in
-    numpy's sequential regime exactly as the scalar selectors would.
+    numpy's sequential regime exactly as ``np.sum`` over the compressed row
+    would.
     """
     return current_backend().masked_row_sums(values, mask)
 
@@ -81,9 +84,10 @@ class BatchSelection:
             is pair ``p``'s top configuration vector.
         bottom_masks: same for the bottom configurations (the *same array
             object* for shared-configuration methods).
-        margins: per-pair signed delay margins, bit-identical to the scalar
-            selectors' ``PairSelection.margin`` values.
-        method: ``"case1"``, ``"case2"`` or ``"traditional"``.
+        margins: per-pair signed delay margins (``PairSelection.margin``
+            of each row).
+        method: ``"case1"``, ``"case2"``, ``"traditional"`` or
+            ``"unconstrained"``.
     """
 
     top_masks: np.ndarray
@@ -106,12 +110,14 @@ class BatchSelection:
         """The enrolled PUF bits: True where the top ring is slower."""
         return self.margins > 0.0
 
-    def to_selections(self) -> list[PairSelection]:
-        """Expand into the scalar per-pair :class:`PairSelection` objects.
+    def to_selections(self) -> list["PairSelection"]:
+        """Expand into per-pair :class:`PairSelection` objects.
 
         Shared-configuration methods reuse one :class:`ConfigVector` per
-        pair for both rings, exactly like the scalar selectors do.
+        pair for both rings.
         """
+        from . import selection  # imports this module, so not at the top
+
         top_configs = [
             ConfigVector(bits) for bits in map(tuple, self.top_masks.tolist())
         ]
@@ -123,7 +129,7 @@ class BatchSelection:
                 for bits in map(tuple, self.bottom_masks.tolist())
             ]
         return [
-            PairSelection(
+            selection.PairSelection(
                 top_config=top,
                 bottom_config=bottom,
                 margin=float(margin),
@@ -174,8 +180,7 @@ def select_case1_batch(
 ) -> BatchSelection:
     """Batch Case-1: one shared configuration per pair (sign-mask optimal).
 
-    Row ``p`` reproduces ``select_case1(alpha[p], beta[p], require_odd)``
-    bit-for-bit (see the module docstring for why).
+    :func:`~repro.core.selection.select_case1` is the one-row view.
 
     Args:
         alpha: ``(pair, stage)`` per-unit delays (ddiffs) of the top rings.
@@ -185,12 +190,12 @@ def select_case1_batch(
     alpha, beta = _validate_batch(alpha, beta)
     _count_selector("case1", len(alpha))
     delta = alpha - beta
-    positive = _direction_selection_batch(delta, 1.0, require_odd)
-    negative = _direction_selection_batch(delta, -1.0, require_odd)
+    positive = _direction_masks(delta, 1.0, require_odd)
+    negative = _direction_masks(delta, -1.0, require_odd)
     margins_positive = masked_row_sums(delta, positive)
     margins_negative = masked_row_sums(delta, negative)
-    # The scalar loop evaluates sign +1 first and lets -1 replace it only
-    # on strictly larger magnitude, so ties keep the positive direction.
+    # Sign +1 is the incumbent and -1 replaces it only on strictly larger
+    # magnitude, so ties keep the positive direction.
     take_negative = np.abs(margins_negative) > np.abs(margins_positive)
     masks = np.where(take_negative[:, None], negative, positive)
     margins = np.where(take_negative, margins_negative, margins_positive)
@@ -199,15 +204,15 @@ def select_case1_batch(
     )
 
 
-def _direction_selection_batch(
-    delta: np.ndarray, sign: float, require_odd: bool
-) -> np.ndarray:
+def _direction_masks(delta: np.ndarray, sign: float, require_odd: bool) -> np.ndarray:
     """Row-wise best selections whose margins point in one sign direction.
 
-    Mirrors ``selection._direction_selection`` decision for decision: strict
-    positive-contribution masks, the single-``argmax`` fallback for rows no
-    unit helps, and the cheapest-repair parity fix (first-index tie-breaks
-    via masked ``argmin``/``argmax``, exactly numpy's scalar behaviour).
+    Unconstrained, that is every unit with a positive contribution
+    ``sign * delta``; rows no unit helps fall back to the single least-bad
+    unit.  Under the odd-count constraint, parity is fixed by whichever is
+    cheaper — dropping the weakest selected unit or adding the
+    least-harmful unselected one (first-index tie-breaks via masked
+    ``argmin``/``argmax``).
     """
     contributions = sign * delta
     selected = contributions > 0.0
@@ -244,11 +249,12 @@ def select_case2_batch(
 ) -> BatchSelection:
     """Batch Case-2: independent equal-count configurations per pair.
 
-    Row ``p`` reproduces ``select_case2(alpha[p], beta[p], require_odd)``
-    bit-for-bit: per-row stable argsorts, greedy positive-gain prefixes
-    (prefix sums reproduced exactly via :func:`masked_row_sums`), the
-    ``sum_pos >= sum_neg`` direction rule, and the odd-length neighbour
-    repair (``k - 1`` wins ties).
+    Per-row stable argsorts, greedy positive-gain prefixes (prefix sums
+    exact via :func:`masked_row_sums`), the ``sum_pos >= sum_neg``
+    direction rule, and the odd-length neighbour repair (``k - 1`` wins
+    ties).  The direction is chosen before the repair, so with
+    ``require_odd`` a row can fall short of the odd-count optimum.
+    :func:`~repro.core.selection.select_case2` is the one-row view.
     """
     alpha, beta = _validate_batch(alpha, beta)
     _count_selector("case2", len(alpha))
@@ -262,8 +268,8 @@ def select_case2_batch(
     gains_positive = alpha_sorted - beta_sorted[:, ::-1]
     gains_negative = beta_sorted - alpha_sorted[:, ::-1]
 
-    k_positive, sum_positive = _greedy_prefix_batch(gains_positive)
-    k_negative, sum_negative = _greedy_prefix_batch(gains_negative)
+    k_positive, sum_positive = _positive_prefixes(gains_positive)
+    k_negative, sum_negative = _positive_prefixes(gains_negative)
 
     positive_direction = sum_positive >= sum_negative
     k = np.where(
@@ -282,8 +288,8 @@ def select_case2_batch(
             )
             sub_k = k[even_rows]
             # k is even hence >= 2, so k - 1 is always a valid odd length;
-            # k + 1 exists only below n and must win strictly (the scalar
-            # repair keeps k - 1 on ties).
+            # k + 1 exists only below n and must win strictly (k - 1 is
+            # kept on ties).
             shorter = sub_k - 1
             longer = sub_k + 1
             sum_shorter = masked_row_sums(gains, columns < shorter[:, None])
@@ -314,7 +320,7 @@ def select_case2_batch(
     )
 
 
-def _greedy_prefix_batch(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _positive_prefixes(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise longest positive prefixes and their exact sums."""
     positive = gains > 0.0
     n = gains.shape[1]
@@ -343,10 +349,9 @@ def select_traditional_batch(
 ) -> BatchSelection:
     """Batch traditional RO PUF: every inverter included in both rings.
 
-    Row ``p`` reproduces ``select_traditional(alpha[p], beta[p],
-    require_odd)`` bit-for-bit, including the even-stage-count parity drop
-    (the stage whose removal best preserves the margin magnitude, dropped
-    from both rings).
+    With ``require_odd`` and an even stage count, each row drops the stage
+    whose removal best preserves the margin magnitude, from both rings.
+    :func:`~repro.core.selection.select_traditional` is the one-row view.
     """
     alpha, beta = _validate_batch(alpha, beta)
     _count_selector("traditional", len(alpha))
@@ -360,13 +365,39 @@ def select_traditional_batch(
         margins = masked_row_sums(alpha, selected) - masked_row_sums(beta, selected)
     else:
         # All stages selected: the compressed row is the full row, whose
-        # axis sum is bit-identical to the scalar np.sum.
+        # axis sum is bit-identical to np.sum over it.
         margins = alpha.sum(axis=1) - beta.sum(axis=1)
     return BatchSelection(
         top_masks=selected,
         bottom_masks=selected,
         margins=margins,
         method="traditional",
+    )
+
+
+def select_unconstrained_batch(alpha: np.ndarray, beta: np.ndarray) -> BatchSelection:
+    """Batch maximum-margin selection with *independent* selected counts.
+
+    With positive per-unit delays the optimum is extreme: one ring selects
+    everything and the other only its single fastest unit (a ring needs at
+    least one stage).  Ties keep the slow-top direction.
+    :func:`~repro.core.selection_ext.select_unconstrained` is the one-row
+    view.
+    """
+    alpha, beta = _validate_batch(alpha, beta)
+    _count_selector("unconstrained", len(alpha))
+    pair_count, n = alpha.shape
+    margins_positive = alpha.sum(axis=1) - beta.min(axis=1)
+    margins_negative = alpha.min(axis=1) - beta.sum(axis=1)
+    positive = np.abs(margins_positive) >= np.abs(margins_negative)
+    fast_masks = np.zeros((pair_count, n), dtype=bool)
+    fastest = np.where(positive, np.argmin(beta, axis=1), np.argmin(alpha, axis=1))
+    fast_masks[np.arange(pair_count), fastest] = True
+    return BatchSelection(
+        top_masks=fast_masks | positive[:, None],
+        bottom_masks=fast_masks | ~positive[:, None],
+        margins=np.where(positive, margins_positive, margins_negative),
+        method="unconstrained",
     )
 
 

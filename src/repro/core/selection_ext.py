@@ -14,6 +14,13 @@
   neglects.  The offset-aware selectors maximise ``|margin + B|`` — the
   quantity that actually decides the bit — recovering margin the paper's
   selector leaves on the table whenever ``B`` opposes it.
+
+The offset-aware selectors and
+:func:`~repro.core.multicorner.select_case1_multicorner` work one pair at a
+time and have no batch twin.  They are not duplicates of a batch rule: the
+offset-aware :class:`~repro.core.puf.ChipROPUF` path measures each pair
+just before selecting it, and that per-pair measurement draw order is part
+of its pinned output.
 """
 
 from __future__ import annotations
@@ -21,7 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 from .config_vector import ConfigVector
-from .selection import PairSelection, _validate_pair
+from .selection import PairSelection, _one_row, _validate_pair
+from .selection_batch import select_unconstrained_batch
 
 __all__ = [
     "select_unconstrained",
@@ -37,35 +45,11 @@ def select_unconstrained(alpha: np.ndarray, beta: np.ndarray) -> PairSelection:
     slow as possible (select everything) and the other as fast as possible
     (select only its single fastest unit; a ring needs at least one stage).
     The returned margin therefore dwarfs Case-2's — but the configuration
-    itself gives the bit away, which is why the paper forbids this.
+    itself gives the bit away, which is why the paper forbids this.  A
+    one-row view of
+    :func:`~repro.core.selection_batch.select_unconstrained_batch`.
     """
-    alpha, beta = _validate_pair(alpha, beta)
-    n = len(alpha)
-
-    # Direction A: top slow (all selected), bottom fast (one fastest unit).
-    bottom_fast = np.zeros(n, dtype=bool)
-    bottom_fast[int(np.argmin(beta))] = True
-    margin_positive = float(np.sum(alpha) - np.min(beta))
-
-    # Direction B: the mirror image.
-    top_fast = np.zeros(n, dtype=bool)
-    top_fast[int(np.argmin(alpha))] = True
-    margin_negative = float(np.min(alpha) - np.sum(beta))
-
-    if abs(margin_positive) >= abs(margin_negative):
-        top = np.ones(n, dtype=bool)
-        bottom = bottom_fast
-        margin = margin_positive
-    else:
-        top = top_fast
-        bottom = np.ones(n, dtype=bool)
-        margin = margin_negative
-    return PairSelection(
-        top_config=ConfigVector.from_array(top),
-        bottom_config=ConfigVector.from_array(bottom),
-        margin=margin,
-        method="unconstrained",
-    )
+    return _one_row(select_unconstrained_batch, alpha, beta)
 
 
 def select_case1_offset(

@@ -22,9 +22,12 @@ from ..baselines.cooperative import CooperativeROPUF
 from ..baselines.one_out_of_eight import OneOutOfEightPUF
 from ..core.pairing import RingAllocation, allocate_rings
 from ..core.puf import BoardROPUF, ChipROPUF
-from ..core.selection import select_case1, select_case2
-from ..core.selection_batch import select_case2_batch
-from ..core.selection_ext import select_case2_offset, select_unconstrained
+from ..core.selection_batch import (
+    select_case1_batch,
+    select_case2_batch,
+    select_unconstrained_batch,
+)
+from ..core.selection_ext import select_case2_offset
 from ..datasets.base import RODataset
 from ..metrics.reliability import bit_flip_report
 from ..silicon.aging import AgingModel, age_chip
@@ -71,19 +74,20 @@ class LeakageStudy:
 
 def _dataset_pair_delays(
     dataset: RODataset, stage_count: int, max_boards: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Adjacent ring pairs of each board as ``(pair, stage)`` matrices."""
     config = PipelineConfig(stage_count=stage_count, method="case1", distill=True)
     distiller = config.distiller()
-    pairs = []
+    window = 2 * stage_count
+    chunks = []
     for board in dataset.nominal_boards[:max_boards]:
         delays = board.delays_at(dataset.nominal)
         if distiller is not None:
             delays = distiller(delays, board.coords)
-        window = 2 * stage_count
-        for start in range(0, len(delays) - window + 1, window):
-            chunk = delays[start : start + window]
-            pairs.append((chunk[:stage_count], chunk[stage_count:]))
-    return pairs
+        usable = len(delays) // window * window
+        chunks.append(delays[:usable].reshape(-1, window))
+    pairs = np.concatenate(chunks)
+    return pairs[:, :stage_count].copy(), pairs[:, stage_count:].copy()
 
 
 def run_leakage_study(
@@ -93,12 +97,12 @@ def run_leakage_study(
 ) -> LeakageStudy:
     """A4: attack the stored configurations of three selection schemes."""
     dataset = dataset_or_default(dataset)
-    pair_delays = _dataset_pair_delays(dataset, stage_count, max_boards)
+    alpha, beta = _dataset_pair_delays(dataset, stage_count, max_boards)
     results = [
-        evaluate_config_leakage(select_case1, "case1", pair_delays),
-        evaluate_config_leakage(select_case2, "case2", pair_delays),
+        evaluate_config_leakage(select_case1_batch, "case1", alpha, beta),
+        evaluate_config_leakage(select_case2_batch, "case2", alpha, beta),
         evaluate_config_leakage(
-            select_unconstrained, "unconstrained", pair_delays
+            select_unconstrained_batch, "unconstrained", alpha, beta
         ),
     ]
     return LeakageStudy(results=results, model_attack=evaluate_model_attack())
@@ -475,7 +479,6 @@ def run_multicorner_study(
     (n = 3 in Fig. 4), so there is headroom to improve.
     """
     from ..core.multicorner import select_case1_multicorner
-    from ..core.selection import select_case1
     from ..variation.corners import voltage_corners
 
     dataset = dataset_or_default(dataset)
@@ -485,6 +488,7 @@ def run_multicorner_study(
     multi = []
     for board in dataset.swept_boards:
         allocation = allocate_rings(board.ro_count, stage_count)
+        pairs = allocation.pair_ring_matrix()
         rings_by_corner = {
             op: allocation.ring_delay_matrix(board.delays_at(op))
             for op in corners
@@ -523,9 +527,12 @@ def run_multicorner_study(
         per_corner = []
         for enroll_op in corners:
             rings = rings_by_corner[enroll_op]
+            selections = select_case1_batch(
+                rings[pairs[:, 0]], rings[pairs[:, 1]]
+            ).to_selections()
 
-            def single_select(pair, top, bottom, rings=rings):
-                return select_case1(rings[top], rings[bottom])
+            def single_select(pair, top, bottom, selections=selections):
+                return selections[pair]
 
             per_corner.append(flips_for(single_select))
         single_worst.append(max(per_corner))
@@ -607,7 +614,7 @@ def run_margin_scaling_study(
     for n in stage_counts:
         # One (pair, 2, n) draw consumes the generator exactly like the
         # historical alternating per-pair draws, and the batch selector's
-        # margins are bit-identical to the scalar select_case2 loop.
+        # margins are bit-identical to the historical per-pair loop.
         samples = rng.normal(500e-12, sigma, (pair_count, 2, n))
         alpha = samples[:, 0, :]
         beta = samples[:, 1, :]

@@ -38,10 +38,9 @@ into the lowest survivor.  That makes every path to the same multiset —
 one stream, many shards, any merge order — land on byte-identical state:
 
 * ``merge(a, b) == merge(b, a)``;
-* sharded observation + merge == one unsharded stream (the ``total``
-  field alone is a float sum, so it is order-invariant only up to
-  float-addition reassociation — everything the quantile walk reads is
-  integer-exact).
+* sharded observation + merge == one unsharded stream, ``total``
+  included: the sum is kept as exact ``math.fsum``-style partials and
+  ``total`` is their correctly rounded sum, which no order can change.
 
 Both invariants are pinned by Hypothesis property tests.  Inside the
 collapsed region the error bound degrades to "somewhere at or below the
@@ -88,7 +87,7 @@ class QuantileSketch:
         "_negative",
         "_zero",
         "count",
-        "total",
+        "_partials",
         "min",
         "max",
     )
@@ -112,7 +111,7 @@ class QuantileSketch:
         self._negative: dict[int, int] = {}
         self._zero = 0
         self.count = 0
-        self.total = 0.0
+        self._partials: list[float] = []
         self.min = math.inf
         self.max = -math.inf
 
@@ -157,7 +156,7 @@ class QuantileSketch:
             self._negative[index] = self._negative.get(index, 0) + 1
             self._collapse(self._negative, self.max_bins)
         self.count += 1
-        self.total += value
+        self._add_exact(value)
         if value < self.min:
             self.min = value
         if value > self.max:
@@ -187,15 +186,46 @@ class QuantileSketch:
         self._collapse(self._negative, self.max_bins)
         self._zero += other._zero
         self.count += other.count
-        self.total += other.total
+        for partial in other._partials:
+            self._add_exact(partial)
         if other.min < self.min:
             self.min = other.min
         if other.max > self.max:
             self.max = other.max
 
+    def _add_exact(self, value: float) -> None:
+        """Add ``value`` to the non-overlapping partials without rounding."""
+        partials = self._partials
+        kept = 0
+        for partial in partials:
+            if abs(value) < abs(partial):
+                value, partial = partial, value
+            high = value + partial
+            low = partial - (high - value)
+            if low:
+                partials[kept] = low
+                kept += 1
+            value = high
+        partials[kept:] = [value]
+
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+
+    @property
+    def total(self) -> float:
+        """Sum of every observation, correctly rounded and order-free."""
+        return math.fsum(self._partials)
+
+    def _canonical_partials(self) -> list[float]:
+        """The exact sum as the one expansion that equal sums share:
+        repeatedly peel off the correctly rounded remainder."""
+        rest = list(self._partials)
+        canonical = []
+        while (head := math.fsum(rest)) != 0.0:
+            canonical.append(head)
+            rest.append(-head)
+        return canonical
 
     def quantile(self, q: float) -> float:
         """Estimate the ``q``-quantile (inverse-CDF rank; see error bound).
@@ -256,6 +286,7 @@ class QuantileSketch:
             "max_bins": self.max_bins,
             "count": self.count,
             "total": self.total,
+            "partials": self._canonical_partials(),
             "min": self.min if self.count else None,
             "max": self.max if self.count else None,
             "zero": self._zero,
@@ -271,7 +302,8 @@ class QuantileSketch:
             max_bins=payload["max_bins"],
         )
         sketch.count = int(payload["count"])
-        sketch.total = float(payload["total"])
+        for partial in payload["partials"]:
+            sketch._add_exact(float(partial))
         sketch.min = math.inf if payload["min"] is None else float(payload["min"])
         sketch.max = -math.inf if payload["max"] is None else float(payload["max"])
         sketch._zero = int(payload["zero"])

@@ -9,16 +9,18 @@ from repro.attacks.config_leakage import (
 )
 from repro.attacks.logistic import LogisticRegression
 from repro.attacks.model_attack import evaluate_model_attack, ms_response
-from repro.core.selection import select_case1, select_case2
-from repro.core.selection_ext import select_unconstrained
+from repro.core.selection_batch import (
+    select_case1_batch,
+    select_case2_batch,
+    select_unconstrained_batch,
+)
 
 
 def random_pairs(count, n, seed=0):
+    """(alpha, beta) delay matrices of ``count`` random ring pairs."""
     rng = np.random.default_rng(seed)
-    return [
-        (rng.normal(1.0, 0.05, n), rng.normal(1.0, 0.05, n))
-        for _ in range(count)
-    ]
+    samples = rng.normal(1.0, 0.05, (count, 2, n))
+    return samples[:, 0, :], samples[:, 1, :]
 
 
 class TestLogisticRegression:
@@ -63,48 +65,53 @@ class TestLogisticRegression:
 
 class TestConfigFeatures:
     def test_feature_layout(self):
-        selection = select_case1(np.array([1.0, 2.0]), np.array([2.0, 1.0]))
+        selection = select_case1_batch(np.array([[1.0, 2.0]]), np.array([[2.0, 1.0]]))
         features = config_features(selection)
         # count diff, total count, 2 top bits, 2 bottom bits
-        assert features.shape == (6,)
-        assert features[0] == 0.0  # equal counts in case1
+        assert features.shape == (1, 6)
+        assert features[0, 0] == 0.0  # equal counts in case1
+        assert features[0, 1] == 2 * selection.top_masks[0].sum()
+        assert features[0, 2:4].tolist() == selection.top_masks[0].tolist()
+        assert features[0, 4:].tolist() == selection.bottom_masks[0].tolist()
 
     def test_unconstrained_count_difference_nonzero(self, rng):
-        alpha = rng.normal(1.0, 0.1, 5)
-        beta = rng.normal(1.0, 0.1, 5)
-        selection = select_unconstrained(alpha, beta)
-        assert config_features(selection)[0] != 0.0
+        alpha = rng.normal(1.0, 0.1, (3, 5))
+        beta = rng.normal(1.0, 0.1, (3, 5))
+        selection = select_unconstrained_batch(alpha, beta)
+        assert np.all(config_features(selection)[:, 0] != 0.0)
 
 
 class TestConfigLeakage:
     def test_equal_count_schemes_leak_nothing(self):
-        pairs = random_pairs(400, 7)
-        for selector, name in ((select_case1, "case1"), (select_case2, "case2")):
-            result = evaluate_config_leakage(selector, name, pairs)
+        alpha, beta = random_pairs(400, 7)
+        for selector, name in (
+            (select_case1_batch, "case1"),
+            (select_case2_batch, "case2"),
+        ):
+            result = evaluate_config_leakage(selector, name, alpha, beta)
             assert result.advantage < 0.15, result
 
     def test_unconstrained_leaks_everything(self):
-        pairs = random_pairs(400, 7)
+        alpha, beta = random_pairs(400, 7)
         result = evaluate_config_leakage(
-            select_unconstrained, "unconstrained", pairs
+            select_unconstrained_batch, "unconstrained", alpha, beta
         )
         assert result.accuracy > 0.95
 
     def test_split_sizes(self):
-        pairs = random_pairs(100, 5)
+        alpha, beta = random_pairs(100, 5)
         result = evaluate_config_leakage(
-            select_case1, "case1", pairs, train_fraction=0.7
+            select_case1_batch, "case1", alpha, beta, train_fraction=0.7
         )
         assert result.train_pairs == 70
         assert result.test_pairs == 30
 
     def test_validation(self):
-        pairs = random_pairs(5, 5)
         with pytest.raises(ValueError, match="10 pairs"):
-            evaluate_config_leakage(select_case1, "x", pairs)
+            evaluate_config_leakage(select_case1_batch, "x", *random_pairs(5, 5))
         with pytest.raises(ValueError, match="train_fraction"):
             evaluate_config_leakage(
-                select_case1, "x", random_pairs(20, 5), train_fraction=1.0
+                select_case1_batch, "x", *random_pairs(20, 5), train_fraction=1.0
             )
 
 

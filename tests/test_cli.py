@@ -191,6 +191,28 @@ class TestMain:
         with pytest.raises(FileNotFoundError):
             main(["table3", "--data", str(tmp_path / "nope")])
 
+    @pytest.mark.parametrize("holds, code", [(True, 0), (False, 1)])
+    def test_report_exit_code_follows_claims(
+        self, capsys, monkeypatch, tmp_path, holds, code
+    ):
+        from repro.analysis import report
+
+        def fake_build_report():
+            return report.ReproductionReport(
+                claims=[report.ClaimCheck("a paper claim", holds, "measured")]
+            )
+
+        monkeypatch.setattr(report, "build_report", fake_build_report)
+        output = tmp_path / "report.md"
+        assert main(["report", "--output", str(output)]) == code
+        text = capsys.readouterr().out
+        assert output.is_file()
+        if holds:
+            assert "ALL CLAIMS HOLD" in text
+        else:
+            assert "SOME CLAIMS FAIL" in text
+            assert "failing: a paper claim" in text
+
 
 class TestMainAll:
     """The `all` command drives the pipeline and emits summary JSON.

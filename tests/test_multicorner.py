@@ -3,12 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.multicorner import (
-    select_case1_multicorner,
-    select_multicorner_exhaustive,
-    worst_case_margin,
-)
+from repro.core.multicorner import select_case1_multicorner, worst_case_margin
 from repro.core.selection import select_case1
+from tests.selection_oracle import select_multicorner_exhaustive
 
 
 def random_corners(rng, corners=3, units=6, drift=0.2):

@@ -149,7 +149,10 @@ class TestEngineCounters:
         rng = np.random.default_rng(0)
         select_case1(rng.normal(size=8), rng.normal(size=8))
         counters = obs.snapshot()["counters"]
-        assert counters["selector.case1.scalar_calls"] == 1.0
+        # A one-row view counts through the batch selector's counters.
+        assert counters["selector.case1.calls"] == 1.0
+        assert counters["selector.case1.rows"] == 1.0
+        assert "selector.case1.scalar_calls" not in counters
 
     def test_batch_selector_counters(self):
         obs.enable_metrics()

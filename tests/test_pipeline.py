@@ -13,7 +13,7 @@ from repro.pipeline import (
     run_pipeline,
     task_names,
 )
-from repro.pipeline.executor import execute_task
+from repro.pipeline.executor import execute_task, json_default
 from repro.pipeline.registry import _REGISTRY, register_task
 
 #: Cheap tasks used to exercise the executor without NIST batteries.
@@ -243,13 +243,51 @@ class TestDeterminism:
         assert _dumps(serial) == _dumps(forked)
 
     def test_wrapper_matches_pipeline(self, small_dataset):
-        # run_all_experiments is a thin wrapper; single cheap task subset
-        # checked here, the full-summary equivalence lives in test_runner.
-        from repro.experiments.runner import run_all_experiments  # noqa: F401
-
+        # run_pipeline is the one entry point for whole-summary runs (the
+        # full summary is checked in TestFullSummary).
         summary = run_pipeline(small_dataset, tasks=["fig3_uniqueness"])
         again = run_pipeline(small_dataset, tasks=["fig3_uniqueness"])
         assert summary == again
+
+
+@pytest.fixture(scope="module")
+def full_summary(small_dataset):
+    """One full serial pipeline run over the small dataset."""
+    return run_pipeline(small_dataset)
+
+
+class TestFullSummary:
+    """The whole summary of a full run: every section, paper-exact Table V,
+    the paper's qualitative orderings, and a lossless JSON round trip."""
+
+    def test_all_sections_present(self, full_summary):
+        for key in task_names():
+            assert key in full_summary, key
+
+    def test_table5_always_paper_exact(self, full_summary):
+        for row in full_summary["table5_bits"].values():
+            assert row["matches_paper"]
+
+    def test_qualitative_orderings_hold(self, full_summary):
+        for entry in full_summary["fig4_voltage"].values():
+            if isinstance(entry, dict):
+                assert (
+                    entry["configurable_mean_flip_percent"]
+                    <= entry["traditional_mean_flip_percent"]
+                )
+        attacks = full_summary["ablation_attacks"]
+        assert attacks["unconstrained"]["accuracy"] > 0.9
+        assert attacks["case1"]["accuracy"] < 0.8
+
+    def test_json_round_trip(self, full_summary, tmp_path):
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps(full_summary, indent=2, default=json_default))
+        loaded = json.loads(path.read_text())
+        assert loaded["dataset"] == full_summary["dataset"]
+        assert set(loaded) == set(full_summary)
+        assert json.dumps(loaded, sort_keys=True) == json.dumps(
+            full_summary, sort_keys=True, default=json_default
+        )
 
 
 class TestDatasetFingerprint:

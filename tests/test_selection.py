@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from repro.core.selection import (
     select_case1,
     select_case2,
-    select_exhaustive,
     select_traditional,
 )
+from tests.selection_oracle import select_exhaustive
 
 delay_vectors = st.integers(1, 8).flatmap(
     lambda n: st.tuples(
