@@ -41,8 +41,7 @@ def _make_puf():
 
 def _make_ops():
     return [
-        OperatingPoint(voltage, 25.0)
-        for voltage in np.linspace(0.90, 1.50, OP_COUNT)
+        OperatingPoint(voltage, 25.0) for voltage in np.linspace(0.90, 1.50, OP_COUNT)
     ]
 
 

@@ -1,19 +1,23 @@
-"""Full reproduction-report builder: every experiment, one document.
+"""The reproduction report: one pipeline run, one pure claim check.
 
-``ropuf report`` (or :func:`build_report`) runs the complete evaluation —
-the paper's nine experiments plus the six ablations/extensions — and emits
-a single markdown document with a pass/fail verdict per paper claim.  This
-is the artifact a reviewer reads first.
+``ropuf report`` (or :func:`build_report`) runs the experiment pipeline
+(:func:`~repro.pipeline.run_pipeline`, every registered task) plus the A5
+aging study, judges the paper's claims with :func:`check_claims` — a pure
+function of that summary — and emits one markdown document: the claim
+checklist, then every summary entry as JSON.  This is the artifact a
+reviewer reads first.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
+__all__ = ["ClaimCheck", "ReproductionReport", "build_report", "check_claims"]
 
-__all__ = ["ClaimCheck", "ReproductionReport", "build_report"]
+#: Summary key of the A5 aging study, which is not a registered task.
+AGING_KEY = "ablation_aging"
 
 
 @dataclass
@@ -75,237 +79,185 @@ class ReproductionReport:
         return path
 
 
+def _configurable_flips(reliability: dict, min_stages: int = 0) -> list[float]:
+    """Configurable mean flip % of every ring length ``>= min_stages``."""
+    return [
+        entry["configurable_mean_flip_percent"]
+        for key, entry in reliability.items()
+        if key.startswith("n=") and int(key[2:]) >= min_stages
+    ]
+
+
+def check_claims(summary: dict) -> list[ClaimCheck]:
+    """Judge the paper's claims from a pipeline summary.
+
+    Pure: reads only ``summary`` and does no I/O.  Fig. 4's "0% flips"
+    claims read per-n means, which are 0 exactly when every flip is 0
+    (flip percentages are non-negative).
+
+    Args:
+        summary: a :func:`~repro.pipeline.run_pipeline` summary of every
+            registered task, plus the A5 aging study under
+            ``"ablation_aging"`` (``years`` / ``flip_percent``).
+
+    Returns:
+        one :class:`ClaimCheck` per claim, in paper order.
+    """
+    nist_case1 = summary["table1_nist_case1"]
+    nist_case2 = summary["table2_nist_case2"]
+    distiller = summary["ablation_distiller"]
+    uniqueness = summary["fig3_uniqueness"]
+    configs = summary["table3_configs_case1"]
+    voltage = summary["fig4_voltage"]
+    temperature = summary["fig4_temperature"]
+    threshold = summary["sec4e_threshold"]
+    attacks = summary["ablation_attacks"]
+    aging = summary[AGING_KEY]["flip_percent"]
+
+    hd_percent = configs["hd_percent"]
+    # lowest HD among the most frequent ones (np.argmax's tie-break)
+    mode = int(max(sorted(hd_percent, key=int), key=hd_percent.get, default=0))
+    duplicates = hd_percent.get("0", 0.0)
+    fraction = configs["mean_selected_fraction"]
+    long_rings = _configurable_flips(voltage, min_stages=7)
+    n7 = voltage["n=7"]
+    one_of_8 = voltage["one_of_8_max_flip_percent"]
+    distances = [abs(units - 3.0) for units in threshold["thresholds"]]
+    at3 = distances.index(min(distances))
+    traditional_at3 = threshold["traditional"][at3]
+    configurable_at3 = threshold["configurable"][at3]
+    case1_attack = attacks["case1"]
+    unconstrained_accuracy = attacks["unconstrained"]["accuracy"]
+
+    return [
+        ClaimCheck(
+            claim="distilled PUF outputs pass the NIST battery (Tables I-II)",
+            holds=nist_case1["passed"] and nist_case2["passed"],
+            evidence=(
+                f"case1 {'PASS' if nist_case1['passed'] else 'FAIL'}, "
+                f"case2 {'PASS' if nist_case2['passed'] else 'FAIL'} over "
+                f"{nist_case1['sequences']} sequences"
+            ),
+        ),
+        ClaimCheck(
+            claim="raw (undistilled) outputs fail the NIST battery",
+            holds=not distiller["raw_passed"],
+            evidence=(
+                "raw failing tests: "
+                + (", ".join(distiller["raw_failed_tests"]) or "none")
+            ),
+        ),
+        ClaimCheck(
+            claim="inter-chip HD is a bell near 48/96 bits (Fig. 3)",
+            holds=abs(uniqueness["case1_mean_hd"] - 48.0) < 5.0
+            and not uniqueness["collisions"],
+            evidence=(
+                f"mean {uniqueness['case1_mean_hd']:.2f} bits (paper 46.88), "
+                + ("collisions" if uniqueness["collisions"] else "no collisions")
+            ),
+        ),
+        ClaimCheck(
+            claim="best configurations are diverse, HD mass at 6-8 (Table III)",
+            holds=mode in (6, 8) and duplicates < 0.05,
+            evidence=f"mode at HD {mode}, duplicates {duplicates:.3f}%",
+        ),
+        ClaimCheck(
+            claim="optimal configurations select about n/2 inverters",
+            holds=0.35 < fraction < 0.7,
+            evidence=f"mean fraction {fraction:.2f}",
+        ),
+        ClaimCheck(
+            claim="configurable PUF reaches 0% flips at n=7 (Fig. 4)",
+            holds=bool(long_rings) and all(flips == 0.0 for flips in long_rings),
+            evidence=(
+                f"mean flips n=7: {n7['configurable_mean_flip_percent']:.2f}% vs "
+                f"traditional {n7['traditional_mean_flip_percent']:.2f}%"
+            ),
+        ),
+        ClaimCheck(
+            claim="1-out-of-8 never flips but yields 1/4 the bits",
+            holds=one_of_8 == 0.0,
+            evidence=f"max 1-of-8 flips {one_of_8:.2f}%",
+        ),
+        ClaimCheck(
+            claim="under temperature variation only the traditional PUF flips",
+            holds=all(flips == 0.0 for flips in _configurable_flips(temperature)),
+            evidence=(
+                "configurable 0%, traditional mean "
+                f"{temperature['n=3']['traditional_mean_flip_percent']:.2f}% at n=3"
+            ),
+        ),
+        ClaimCheck(
+            claim="Table V bit counts and the 4x hardware advantage",
+            holds=all(row["matches_paper"] for row in summary["table5_bits"].values()),
+            evidence="80/48/32/24 vs 20/12/8/6 reproduced exactly",
+        ),
+        ClaimCheck(
+            claim="traditional 32->13 bits at R_th=3; configurable keeps ~32",
+            holds=abs(traditional_at3 - 13.0) < 3.0 and configurable_at3 > 29.0,
+            evidence=(
+                f"traditional {traditional_at3:.1f}, "
+                f"configurable {configurable_at3:.1f} of 32"
+            ),
+        ),
+        ClaimCheck(
+            claim="equal selected counts prevent bit leakage (Sec. III.D)",
+            holds=case1_attack["accuracy"] - case1_attack["chance"] < 0.1
+            and unconstrained_accuracy > 0.95,
+            evidence=(
+                f"attack accuracy: case1 {case1_attack['accuracy']:.2f} "
+                f"vs unconstrained {unconstrained_accuracy:.2f}"
+            ),
+        ),
+        ClaimCheck(
+            claim="margin maximisation also extends lifetime (aging)",
+            holds=aging["case2"][-1] <= aging["traditional"][-1],
+            evidence=(
+                f"20y flips: case2 {aging['case2'][-1]:.1f}% vs "
+                f"traditional {aging['traditional'][-1]:.1f}%"
+            ),
+        ),
+    ]
+
+
 def build_report(dataset=None) -> ReproductionReport:
-    """Run every experiment and assemble the reproduction report.
+    """Run the pipeline and the aging study; check the paper's claims.
 
     Args:
         dataset: an :class:`~repro.datasets.base.RODataset`; defaults to the
             full paper-scale synthetic dataset (a few seconds: 3-5 s on
             a 2-vCPU host, dataset generation included).
+
+    Raises:
+        RuntimeError: when a pipeline task failed (its claims cannot be
+            judged).
     """
-    from ..experiments import (
-        ablations,
-        config_tables,
-        extensions,
-        fig3_uniqueness,
-        fig4_reliability,
-        nist_tables,
-        sec4e_threshold,
-        table5_bits,
-    )
-    from ..experiments.common import dataset_or_default
+    from ..experiments.extensions import run_aging_study
+    from ..pipeline import all_tasks, run_pipeline
 
-    dataset = dataset_or_default(dataset)
-    report = ReproductionReport()
-
-    nist_case1 = nist_tables.run_nist_experiment(dataset, method="case1")
-    report.sections.append(
-        ("Table I — NIST, Case-1", nist_tables.format_result(nist_case1))
+    summary = run_pipeline(dataset, jobs=1)
+    failed = {
+        name: entry["error"]
+        for name, entry in summary.items()
+        if isinstance(entry, dict) and "error" in entry
+    }
+    if failed:
+        raise RuntimeError(f"pipeline tasks failed: {failed}")
+    aging = run_aging_study()
+    summary[AGING_KEY] = {
+        "years": list(aging.years),
+        "flip_percent": {
+            scheme: flips.tolist() for scheme, flips in aging.flip_percent.items()
+        },
+        "chip_count": aging.chip_count,
+    }
+    titles = {spec.name: spec.description for spec in all_tasks()}
+    titles[AGING_KEY] = "A5 aging study (flips over a simulated lifetime)"
+    return ReproductionReport(
+        sections=[
+            (titles[name], json.dumps(entry, indent=2))
+            for name, entry in summary.items()
+            if name in titles
+        ],
+        claims=check_claims(summary),
     )
-    nist_case2 = nist_tables.run_nist_experiment(dataset, method="case2")
-    report.sections.append(
-        ("Table II — NIST, Case-2", nist_tables.format_result(nist_case2))
-    )
-    report.claims.append(
-        ClaimCheck(
-            claim="distilled PUF outputs pass the NIST battery (Tables I-II)",
-            holds=nist_case1.passed and nist_case2.passed,
-            evidence=(
-                f"case1 {'PASS' if nist_case1.passed else 'FAIL'}, "
-                f"case2 {'PASS' if nist_case2.passed else 'FAIL'} over "
-                f"{nist_case1.streams.shape[0]} sequences"
-            ),
-        )
-    )
-
-    distiller_ablation = ablations.run_distiller_ablation(dataset)
-    report.sections.append(
-        (
-            "A1 — distiller ablation",
-            ablations.format_distiller_ablation(distiller_ablation),
-        )
-    )
-    report.claims.append(
-        ClaimCheck(
-            claim="raw (undistilled) outputs fail the NIST battery",
-            holds=not distiller_ablation.raw_passed,
-            evidence=(
-                "raw failing tests: "
-                + (", ".join(distiller_ablation.raw_failed_tests) or "none")
-            ),
-        )
-    )
-
-    uniqueness = fig3_uniqueness.run_uniqueness_experiment(dataset)
-    report.sections.append(
-        ("Fig. 3 — uniqueness", fig3_uniqueness.format_result(uniqueness))
-    )
-    mean_hd = uniqueness.case1.mean_distance
-    report.claims.append(
-        ClaimCheck(
-            claim="inter-chip HD is a bell near 48/96 bits (Fig. 3)",
-            holds=abs(mean_hd - 48.0) < 5.0 and not uniqueness.case1.has_collision,
-            evidence=f"mean {mean_hd:.2f} bits (paper 46.88), no collisions",
-        )
-    )
-
-    # Table III/IV use n = 15 at paper scale; small datasets fall back to a
-    # ring length their boards can host (keeping the study meaningful).
-    config_stage_count = 15 if dataset.ro_count >= 16 * 2 * 15 else 7
-    for method, title in (("case1", "Table III"), ("case2", "Table IV")):
-        study = config_tables.run_config_study(
-            dataset, method=method, stage_count=config_stage_count
-        )
-        report.sections.append(
-            (
-                f"{title} — configuration HDs ({method})",
-                config_tables.format_result(study),
-            )
-        )
-        if method == "case1":
-            report.claims.append(
-                ClaimCheck(
-                    claim="best configurations are diverse, HD mass at 6-8 "
-                    "(Table III)",
-                    holds=int(np.argmax(study.hd_percentages)) in (6, 8)
-                    and study.hd_percentages[0] < 0.05,
-                    evidence=(
-                        f"mode at HD {int(np.argmax(study.hd_percentages))}, "
-                        f"duplicates {study.hd_percentages[0]:.3f}%"
-                    ),
-                )
-            )
-            report.claims.append(
-                ClaimCheck(
-                    claim="optimal configurations select about n/2 inverters",
-                    holds=0.35 < study.mean_selected_fraction < 0.7,
-                    evidence=f"mean fraction {study.mean_selected_fraction:.2f}",
-                )
-            )
-
-    from ..core.pairing import rings_per_board
-
-    fig4_stage_counts = tuple(
-        n
-        for n in fig4_reliability.FIG4_STAGE_COUNTS
-        if rings_per_board(dataset.ro_count, n) >= 2
-    )
-    voltage = fig4_reliability.run_voltage_reliability(
-        dataset, stage_counts=fig4_stage_counts
-    )
-    report.sections.append(
-        ("Fig. 4 — voltage reliability", fig4_reliability.format_result(voltage))
-    )
-    long_rings = [s for s in voltage.subplots if s.stage_count >= 7]
-    zero_at_7 = bool(long_rings) and all(
-        np.all(s.configurable_flip_percent == 0.0) for s in long_rings
-    )
-    report.claims.append(
-        ClaimCheck(
-            claim="configurable PUF reaches 0% flips at n=7 (Fig. 4)",
-            holds=zero_at_7,
-            evidence=(
-                f"mean flips n=7: {voltage.mean_configurable_flips(7):.2f}% vs "
-                f"traditional {voltage.mean_traditional_flips(7):.2f}%"
-            ),
-        )
-    )
-    report.claims.append(
-        ClaimCheck(
-            claim="1-out-of-8 never flips but yields 1/4 the bits",
-            holds=voltage.max_one_of_8_flips() == 0.0,
-            evidence=f"max 1-of-8 flips {voltage.max_one_of_8_flips():.2f}%",
-        )
-    )
-
-    temperature = fig4_reliability.run_temperature_reliability(
-        dataset, stage_counts=fig4_stage_counts
-    )
-    report.sections.append(
-        (
-            "Sec. IV.D — temperature reliability",
-            fig4_reliability.format_result(temperature),
-        )
-    )
-    only_traditional = all(
-        np.all(s.configurable_flip_percent == 0.0) for s in temperature.subplots
-    )
-    report.claims.append(
-        ClaimCheck(
-            claim="under temperature variation only the traditional PUF flips",
-            holds=only_traditional,
-            evidence=(
-                "configurable 0%, traditional mean "
-                f"{temperature.mean_traditional_flips(3):.2f}% at n=3"
-            ),
-        )
-    )
-
-    table5 = table5_bits.run_table5()
-    report.sections.append(
-        ("Table V — bits per board", table5_bits.format_result(table5))
-    )
-    report.claims.append(
-        ClaimCheck(
-            claim="Table V bit counts and the 4x hardware advantage",
-            holds=all(row.matches_paper() for row in table5),
-            evidence="80/48/32/24 vs 20/12/8/6 reproduced exactly",
-        )
-    )
-
-    threshold = sec4e_threshold.run_threshold_study()
-    report.sections.append(
-        ("Sec. IV.E — R_th sweep", sec4e_threshold.format_result(threshold))
-    )
-    at3 = int(np.argmin(np.abs(threshold.thresholds_units - 3.0)))
-    report.claims.append(
-        ClaimCheck(
-            claim="traditional 32->13 bits at R_th=3; configurable keeps ~32",
-            holds=abs(threshold.traditional[at3] - 13.0) < 3.0
-            and threshold.configurable[at3] > 29.0,
-            evidence=(
-                f"traditional {threshold.traditional[at3]:.1f}, "
-                f"configurable {threshold.configurable[at3]:.1f} of 32"
-            ),
-        )
-    )
-
-    leakage = extensions.run_leakage_study(dataset)
-    report.sections.append(
-        ("A4 — configuration leakage", extensions.format_leakage_study(leakage))
-    )
-    by_scheme = {r.scheme: r for r in leakage.results}
-    report.claims.append(
-        ClaimCheck(
-            claim="equal selected counts prevent bit leakage (Sec. III.D)",
-            holds=by_scheme["case1"].advantage < 0.1
-            and by_scheme["unconstrained"].accuracy > 0.95,
-            evidence=(
-                f"attack accuracy: case1 {by_scheme['case1'].accuracy:.2f} "
-                f"vs unconstrained {by_scheme['unconstrained'].accuracy:.2f}"
-            ),
-        )
-    )
-
-    aging = extensions.run_aging_study()
-    report.sections.append(
-        ("A5 — aging", extensions.format_aging_study(aging))
-    )
-    report.claims.append(
-        ClaimCheck(
-            claim="margin maximisation also extends lifetime (aging)",
-            holds=aging.flip_percent["case2"][-1]
-            <= aging.flip_percent["traditional"][-1],
-            evidence=(
-                f"20y flips: case2 {aging.flip_percent['case2'][-1]:.1f}% vs "
-                f"traditional {aging.flip_percent['traditional'][-1]:.1f}%"
-            ),
-        )
-    )
-
-    zoo = extensions.run_scheme_zoo(dataset)
-    report.sections.append(
-        ("A6 — scheme zoo", extensions.format_scheme_zoo(zoo))
-    )
-
-    return report

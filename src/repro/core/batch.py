@@ -182,9 +182,7 @@ class BatchEvaluator:
         rings = self._ring_delays(op)
         compiled = self.compiled
         backend = current_backend()
-        top = backend.pair_delay_sums(
-            rings[compiled.top_rings], compiled.top_masks
-        )
+        top = backend.pair_delay_sums(rings[compiled.top_rings], compiled.top_masks)
         bottom = backend.pair_delay_sums(
             rings[compiled.bottom_rings], compiled.bottom_masks
         )
@@ -286,9 +284,7 @@ class BatchEvaluator:
             bottom_observed = self.response_noise.observe(bottom, rng)
             bits = top_observed > bottom_observed
             if timed:
-                self._record_sweep_metrics(
-                    top.size + bottom.size, bits.size, started
-                )
+                self._record_sweep_metrics(top.size + bottom.size, bits.size, started)
             return bits
 
     def response_voted_sweep(
@@ -310,18 +306,14 @@ class BatchEvaluator:
             started = time.perf_counter() if timed else 0.0
             top, bottom = self.sweep_delays(ops)
             shape = (votes,) + top.shape
-            top_observed = self.response_noise.observe(
-                np.broadcast_to(top, shape), rng
-            )
+            top_observed = self.response_noise.observe(np.broadcast_to(top, shape), rng)
             bottom_observed = self.response_noise.observe(
                 np.broadcast_to(bottom, shape), rng
             )
             totals = (top_observed > bottom_observed).sum(axis=0)
             bits = totals * 2 > votes
             if timed:
-                self._record_sweep_metrics(
-                    2 * votes * top.size, bits.size, started
-                )
+                self._record_sweep_metrics(2 * votes * top.size, bits.size, started)
             return bits
 
     def _record_sweep_metrics(
@@ -437,21 +429,15 @@ def coalesce_responses(
     if requests is None:
         requests = [ev.delay_request(op) for ev, op in entries]
     if len(requests) != len(entries):
-        raise ValueError(
-            f"{len(entries)} entries but {len(requests)} delay requests"
-        )
+        raise ValueError(f"{len(entries)} entries but {len(requests)} delay requests")
     with obs.span("batch.coalesce_responses", batch=len(entries)):
         delays = coalesce_pair_delays(requests)
         responses = []
         for (evaluator, _), (top, bottom) in zip(entries, delays):
             top_observed = evaluator.response_noise.observe(top, evaluator.rng)
-            bottom_observed = evaluator.response_noise.observe(
-                bottom, evaluator.rng
-            )
+            bottom_observed = evaluator.response_noise.observe(bottom, evaluator.rng)
             responses.append(top_observed > bottom_observed)
-        obs.counter_add(
-            "batch.bits_evaluated", sum(r.size for r in responses)
-        )
+        obs.counter_add("batch.bits_evaluated", sum(r.size for r in responses))
         return responses
 
 
@@ -477,9 +463,7 @@ def response_loop_reference(
     return top_observed > bottom_observed
 
 
-def enroll_loop_reference(
-    puf: "BoardROPUF", op: OperatingPoint
-) -> "Enrollment":
+def enroll_loop_reference(puf: "BoardROPUF", op: OperatingPoint) -> "Enrollment":
     """The pre-batch per-pair board enrollment loop, preserved verbatim.
 
     One scalar selector call per ring pair — the implementation
@@ -505,9 +489,7 @@ def enroll_loop_reference(
     )
 
 
-def chip_enroll_loop_reference(
-    puf: "ChipROPUF", op: OperatingPoint
-) -> "Enrollment":
+def chip_enroll_loop_reference(puf: "ChipROPUF", op: OperatingPoint) -> "Enrollment":
     """The per-pair chip enrollment loop, mirrored for benchmarking.
 
     Identical to :meth:`ChipROPUF.enroll` (which deliberately *keeps* this

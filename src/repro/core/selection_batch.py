@@ -125,8 +125,7 @@ class BatchSelection:
             bottom_configs = top_configs
         else:
             bottom_configs = [
-                ConfigVector(bits)
-                for bits in map(tuple, self.bottom_masks.tolist())
+                ConfigVector(bits) for bits in map(tuple, self.bottom_masks.tolist())
             ]
         return [
             selection.PairSelection(

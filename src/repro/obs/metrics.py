@@ -6,12 +6,13 @@ the instrumented modules and exported as a plain-JSON *snapshot*:
 * **counters** — monotonically accumulated totals (cache hits, noise
   elements drawn, selector rows processed, retries);
 * **gauges** — last-set values (per-process, merged by max);
-* **histograms** — ``{count, total, min, max}`` aggregates of observed
-  values **plus a mergeable quantile sketch**
+* **histograms** — one mergeable quantile sketch per name
   (:class:`~repro.obs.quantiles.QuantileSketch`), so any histogram — the
   serve layer's per-verb latencies, the batch engine's throughput — can
   answer p50/p90/p99 at any moment (:func:`histogram_quantiles`, the
-  exposition endpoints of :mod:`repro.obs.exporter`).
+  exposition endpoints of :mod:`repro.obs.exporter`).  Snapshots read the
+  ``{count, total, min, max}`` aggregate off the sketch, whose exact
+  total makes merged histograms independent of merge order.
 
 Like tracing (:mod:`repro.obs.trace`), metrics are **disabled by
 default**; every recording call returns after one module-flag check, so
@@ -69,7 +70,7 @@ _enabled = False
 _lock = threading.Lock()
 _counters: dict[str, float] = {}
 _gauges: dict[str, float] = {}
-_histograms: dict[str, dict] = {}
+_histograms: dict[str, QuantileSketch] = {}
 
 
 def metrics_enabled() -> bool:
@@ -116,33 +117,17 @@ def gauge_set(name: str, value: float) -> None:
 def histogram_observe(name: str, value: float) -> None:
     """Fold ``value`` into the histogram ``name`` (no-op while disabled).
 
-    Beside the classic ``{count, total, min, max}`` aggregate every
-    histogram feeds a :class:`~repro.obs.quantiles.QuantileSketch`, so
+    Every histogram is a :class:`~repro.obs.quantiles.QuantileSketch`, so
     p50/p90/p99 are answerable live (:func:`histogram_quantiles`) and in
     every snapshot.
     """
     if not _enabled:
         return
     with _lock:
-        histogram = _histograms.get(name)
-        if histogram is None:
-            sketch = QuantileSketch()
-            sketch.observe(value)
-            _histograms[name] = {
-                "count": 1,
-                "total": value,
-                "min": value,
-                "max": value,
-                "sketch": sketch,
-            }
-            return
-        histogram["count"] += 1
-        histogram["total"] += value
-        if value < histogram["min"]:
-            histogram["min"] = value
-        if value > histogram["max"]:
-            histogram["max"] = value
-        histogram["sketch"].observe(value)
+        sketch = _histograms.get(name)
+        if sketch is None:
+            sketch = _histograms[name] = QuantileSketch()
+        sketch.observe(value)
 
 
 def histogram_quantiles(
@@ -154,10 +139,10 @@ def histogram_quantiles(
     never produce a half-applied answer.
     """
     with _lock:
-        histogram = _histograms.get(name)
-        if histogram is None:
+        sketch = _histograms.get(name)
+        if sketch is None:
             return None
-        return histogram["sketch"].quantiles(points)
+        return sketch.quantiles(points)
 
 
 @contextmanager
@@ -178,6 +163,17 @@ def timed(name: str):
         histogram_observe(name, (time.perf_counter() - started) * 1000.0)
 
 
+def _histogram_entry(sketch: QuantileSketch) -> dict:
+    """A histogram's snapshot entry: the sketch's aggregate plus its state."""
+    return {
+        "count": sketch.count,
+        "total": sketch.total,
+        "min": sketch.min,
+        "max": sketch.max,
+        "sketch": sketch.to_dict(),
+    }
+
+
 def snapshot() -> dict:
     """The registry as a plain-JSON document (deep-copied, sorted keys).
 
@@ -191,27 +187,19 @@ def snapshot() -> dict:
             "counters": dict(sorted(_counters.items())),
             "gauges": dict(sorted(_gauges.items())),
             "histograms": {
-                name: {
-                    **{
-                        key: value
-                        for key, value in histogram.items()
-                        if key != "sketch"
-                    },
-                    "sketch": histogram["sketch"].to_dict(),
-                }
-                for name, histogram in sorted(_histograms.items())
+                name: _histogram_entry(sketch)
+                for name, sketch in sorted(_histograms.items())
             },
         }
 
 
 def merge_snapshots(snapshots: list[dict]) -> dict:
     """Fold per-process snapshots into one: counters sum, gauges take the
-    max, histograms combine their aggregates and merge their quantile
-    sketches (shard-order-invariant: any merge order yields identical
-    state)."""
+    max, histograms merge their quantile sketches and re-derive their
+    aggregates from the result (shard-order-invariant: any merge order
+    yields identical state)."""
     counters: dict[str, float] = {}
     gauges: dict[str, float] = {}
-    histograms: dict[str, dict] = {}
     sketches: dict[str, QuantileSketch] = {}
     for snap in snapshots:
         if snap.get("schema") != METRICS_SCHEMA:
@@ -224,33 +212,16 @@ def merge_snapshots(snapshots: list[dict]) -> dict:
         for name, value in snap.get("gauges", {}).items():
             gauges[name] = max(gauges[name], value) if name in gauges else value
         for name, incoming in snap.get("histograms", {}).items():
-            incoming_sketch = incoming.get("sketch")
-            if incoming_sketch is not None:
-                if name in sketches:
-                    sketches[name].merge(
-                        QuantileSketch.from_dict(incoming_sketch)
-                    )
-                else:
-                    sketches[name] = QuantileSketch.from_dict(incoming_sketch)
-            merged = histograms.get(name)
-            if merged is None:
-                histograms[name] = {
-                    key: value
-                    for key, value in incoming.items()
-                    if key != "sketch"
-                }
-                continue
-            merged["count"] += incoming["count"]
-            merged["total"] += incoming["total"]
-            merged["min"] = min(merged["min"], incoming["min"])
-            merged["max"] = max(merged["max"], incoming["max"])
-    for name, sketch in sketches.items():
-        histograms[name]["sketch"] = sketch.to_dict()
+            sketch = QuantileSketch.from_dict(incoming["sketch"])
+            if name in sketches:
+                sketches[name].merge(sketch)
+            else:
+                sketches[name] = sketch
     return {
         "schema": METRICS_SCHEMA,
         "counters": dict(sorted(counters.items())),
         "gauges": dict(sorted(gauges.items())),
         "histograms": {
-            name: histograms[name] for name in sorted(histograms)
+            name: _histogram_entry(sketches[name]) for name in sorted(sketches)
         },
     }

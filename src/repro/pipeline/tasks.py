@@ -1,8 +1,9 @@
 """The paper's experiments as registered pipeline tasks.
 
-Every section of the old monolithic ``run_all_experiments`` lives here as
-one named task returning a plain JSON-serialisable dict (native Python
-scalars, string keys).  Importing this module populates the registry; the
+Each paper table, figure and measured ablation is one named task here,
+returning a plain JSON-serialisable dict (native Python scalars, string
+keys); :func:`repro.analysis.report.check_claims` judges the paper's
+claims from these dicts.  Importing this module populates the registry; the
 experiment modules themselves are imported lazily inside each task so CLI
 start-up and worker spin-up stay cheap.
 

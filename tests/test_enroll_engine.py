@@ -26,8 +26,7 @@ def _board(stage_count: int, ring_count: int = 16, seed: int = 3):
 
 def _ops(count: int) -> list[OperatingPoint]:
     return [
-        OperatingPoint(voltage=1.08 + 0.06 * i, temperature=25.0)
-        for i in range(count)
+        OperatingPoint(voltage=1.08 + 0.06 * i, temperature=25.0) for i in range(count)
     ]
 
 

@@ -1,6 +1,8 @@
 """Tests of the metrics registry: recording, snapshots, merging, and the
 counters the instrumented engines emit."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,17 @@ class TestRegistry:
         assert ab["histograms"]["h"]["sketch"] == (
             unsharded["histograms"]["h"]["sketch"]
         )
+
+    def test_merged_histogram_is_independent_of_merge_order(self):
+        # mixed signs cancel: a plain float sum of the totals gives
+        # 1.00000761e-06 as [a, b, c] but 1.00000034e-06 as [c, a, b]
+        a = self._snapshot_for({"h": [1.0]})
+        b = self._snapshot_for({"h": [65535.000001]})
+        c = self._snapshot_for({"h": [-65536.0]})
+        abc = obs.merge_snapshots([a, b, c])["histograms"]["h"]
+        cab = obs.merge_snapshots([c, a, b])["histograms"]["h"]
+        assert abc == cab
+        assert abc["total"] == math.fsum([1.0, 65535.000001, -65536.0])
 
     def test_merge_does_not_mutate_inputs(self):
         a = self._snapshot_for({"h": [1.0]})
